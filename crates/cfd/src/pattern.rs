@@ -11,13 +11,12 @@
 use dcd_relation::{
     Atom, AttrId, Conjunction, Dictionary, Relation, Tuple, Value, NO_CODE, WILDCARD_CODE,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// One cell of a pattern tuple: either a constant from the attribute's
 /// domain or the unnamed variable `_` (wildcard).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PatternValue {
     /// A constant `a ∈ dom(A)`.
     Const(Value),
@@ -80,7 +79,7 @@ pub fn values_match(key: &[Value], pats: &[PatternValue]) -> bool {
 
 /// A pattern tuple of a general CFD `(X → Y, Tp)`: LHS and RHS pattern
 /// cells, aligned with the CFD's `X` and `Y` attribute lists.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PatternTuple {
     /// Pattern cells for `X`, in `X` order.
     pub lhs: Vec<PatternValue>,
@@ -123,7 +122,7 @@ impl fmt::Display for PatternTuple {
 
 /// A pattern tuple of a *normalized* CFD `(X → A, tp)`: LHS cells plus a
 /// single RHS cell.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NormalPattern {
     /// Pattern cells for `X`, in `X` order.
     pub lhs: Vec<PatternValue>,

@@ -18,19 +18,17 @@
 //!    exchange, per-pattern coordinators, code-native shipment and
 //!    validation.
 //!
-//! Both phases charge the same ledger and clocks, so the reported
+//! Both phases charge the same [`Run`], so the reported
 //! shipment and response time cover the whole pipeline. No tuple
 //! payload crosses the simulated wire in either phase.
 
 use crate::config::RunConfig;
 use crate::report::Detection;
-use crate::runner::{run_single_cfd, CoordinatorStrategy};
-use dcd_cfd::{Cfd, SimpleCfd, ViolationReport};
+use crate::run::{PhaseClocks, Run};
+use crate::runner::{run_single_cfd, CoordinatorStrategy, RoundOutput};
+use dcd_cfd::{Cfd, SimpleCfd};
 use dcd_dist::pool::scoped_map;
-use dcd_dist::{
-    Fragment, HorizontalPartition, HybridPartition, ShipmentLedger, SiteClocks, TID_CELLS,
-};
-use dcd_obs::RunObserver;
+use dcd_dist::{Fragment, HorizontalPartition, HybridPartition, TID_CELLS};
 use dcd_relation::{AttrId, Dictionary, Relation, RelationError, Value};
 use std::sync::Arc;
 
@@ -43,11 +41,8 @@ pub fn run_hybrid(
     cfg: &RunConfig,
 ) -> Result<Detection, RelationError> {
     let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
-    let mut report = ViolationReport::default();
-    let mut paper_cost = 0.0;
+    let run = Run::new(n, *cfg);
+    let mut total = RoundOutput::default();
 
     // The full-width dictionary set, one per original attribute: every
     // cell's vertical fragments share the parent relation's
@@ -99,11 +94,11 @@ pub fn run_hybrid(
                     .expect("one dictionary per attribute"),
             })
             .collect();
-        let before = clocks.snapshot();
-        let gathered = scoped_map(cfg.threads, partition.cells().len(), |ci| {
-            gather_cell(partition, ci, cfd, cfg, &ledger, &clocks, &full_dicts, &null_codes)
+        let gathered = run.phase(&format!("gather:{}", cfd.name), |clk| {
+            scoped_map(cfg.threads, partition.cells().len(), |ci| {
+                gather_cell(&run, clk, partition, ci, cfd, &full_dicts, &null_codes)
+            })
         });
-        obs.span_sites(&format!("gather:{}", cfd.name), &before, &clocks.snapshot());
         for (ci, outcome) in gathered.into_iter().enumerate() {
             let (coord_vfrag, projection) = outcome?;
             let site = partition.site_of(ci, coord_vfrag);
@@ -117,14 +112,10 @@ pub fn run_hybrid(
         let synthesized = HorizontalPartition::from_fragments(schema.clone(), fragments)?;
 
         // ---- Phase 2: standard horizontal detection across cells. ----
-        let out = run_single_cfd(&synthesized, cfd, strategy, cfg, &ledger, &clocks, &obs);
-        for (name, vs) in out.report.per_cfd {
-            report.absorb(&name, vs);
-        }
-        paper_cost += out.paper_cost;
+        total.absorb(run_single_cfd(&run, &synthesized, cfd, strategy));
     }
 
-    Ok(Detection::collect("HYBRIDDETECT", report, paper_cost, &ledger, &clocks, &obs))
+    Ok(run.detection("HYBRIDDETECT", total.report, total.paper_cost))
 }
 
 /// Gathers one cell's projection of the CFD's attributes at the cell's
@@ -133,17 +124,16 @@ pub fn run_hybrid(
 /// relation over the shared dictionaries (attributes outside the
 /// projection carry the null code), so phase 2 can treat it as a
 /// horizontal fragment.
-#[allow(clippy::too_many_arguments)] // internal per-cell task of run_hybrid
 fn gather_cell(
+    run: &Run,
+    clk: &PhaseClocks<'_>,
     partition: &HybridPartition,
     cell_idx: usize,
     cfd: &SimpleCfd,
-    cfg: &RunConfig,
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
     full_dicts: &[Arc<Dictionary>],
     null_codes: &[u32],
 ) -> Result<(usize, Relation), RelationError> {
+    let cost = &run.cfg().cost;
     let cell = &partition.cells()[cell_idx];
     let vertical = &cell.vertical;
     let schema = partition.schema();
@@ -204,10 +194,10 @@ fn gather_cell(
         // The fragment scans its rows once and ships the useful columns
         // as `(tid, codes)` rows; the coordinator waits for the sender.
         let from = partition.site_of(cell_idx, vi);
-        clocks.advance(from, cfg.cost.scan_time(frag.data.len()));
-        ledger.charge_codes(coord_site, from, n_rows, n_rows * (useful.len() + TID_CELLS));
-        clocks.advance(from, cfg.cost.send_time(n_rows));
-        clocks.wait_until(coord_site, clocks.now(from));
+        clk.charge(from, cost.scan_time(frag.data.len()));
+        run.ledger().charge_codes(coord_site, from, n_rows, n_rows * (useful.len() + TID_CELLS));
+        clk.charge(from, cost.send_time(n_rows));
+        clk.wait_until(coord_site, clk.now(from));
     }
 
     // Assemble the full-width code rows by row alignment (vertical

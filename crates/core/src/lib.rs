@@ -7,13 +7,17 @@
 //!
 //! ## Single-CFD algorithms (§IV-B)
 //!
-//! * [`CtrDetect`] — one coordinator for the whole CFD, chosen as the
-//!   site with the most matching tuples (it would otherwise ship the
-//!   most);
-//! * [`PatDetectS`] — one coordinator *per pattern tuple*, chosen to
-//!   minimize total shipment;
-//! * [`PatDetectRT`] — one coordinator per pattern tuple, chosen greedily
-//!   to minimize the §III-B response-time estimate.
+//! [`run_batch`] runs all three; they differ only in the
+//! [`CoordinatorStrategy`] that assigns coordinators to pattern tuples:
+//!
+//! * `CTRDETECT` ([`CoordinatorStrategy::Central`]) — one coordinator
+//!   for the whole CFD, chosen as the site with the most matching
+//!   tuples (it would otherwise ship the most);
+//! * `PATDETECTS` ([`CoordinatorStrategy::MinShipment`]) — one
+//!   coordinator *per pattern tuple*, chosen to minimize total shipment;
+//! * `PATDETECTRT` ([`CoordinatorStrategy::MinResponseTime`]) — one
+//!   coordinator per pattern tuple, chosen greedily to minimize the
+//!   §III-B response-time estimate.
 //!
 //! All three ship each tuple attribute at most once, check constant CFDs
 //! locally without any shipment (Proposition 5), skip sites whose
@@ -23,9 +27,14 @@
 //!
 //! ## Multi-CFD algorithms (§IV-C)
 //!
-//! * [`SeqDetect`] — pipelined one-CFD-at-a-time processing;
-//! * [`ClustDetect`] — clusters CFDs with containment-related LHSs and
-//!   ships each tuple once per *cluster* instead of once per CFD.
+//! * `SEQDETECT` ([`run_seq`]) — pipelined one-CFD-at-a-time processing;
+//! * `CLUSTDETECT` ([`run_clust`]) — clusters CFDs with
+//!   containment-related LHSs and ships each tuple once per *cluster*
+//!   instead of once per CFD.
+//!
+//! Every engine records its traffic and simulated time in one [`Run`]:
+//! the ledger, the per-site clocks and the observer of the run, whose
+//! clocks move only inside [`Run::phase`].
 //!
 //! ## Optimizations
 //!
@@ -50,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod detector;
 pub mod exact;
 pub mod hybrid;
 pub mod local;
@@ -58,15 +66,16 @@ pub mod mining;
 pub mod multi;
 pub mod replicated;
 pub mod report;
+pub mod run;
 pub mod runner;
 pub mod sigma;
 
 pub use config::{ComputeModel, RunConfig};
-pub use detector::{CtrDetect, Detector, PatDetectRT, PatDetectS};
 pub use exact::min_shipment_exhaustive;
 pub use hybrid::run_hybrid;
 pub use mining::{mine_patterns, MinedTableau, MiningConfig};
-pub use multi::{run_clust, run_seq, ClustDetect, MultiDetector, SeqDetect};
+pub use multi::{run_clust, run_seq};
 pub use replicated::run_replicated;
 pub use report::{Detection, DetectionSummary};
+pub use run::Run;
 pub use runner::{run_batch, CoordinatorStrategy};

@@ -18,128 +18,59 @@
 use crate::config::RunConfig;
 use crate::local::applicable_patterns;
 use crate::report::Detection;
+use crate::run::Run;
 use crate::runner::{
-    assign_coordinators, charge, constants_phase, exchange_statistics, run_single_cfd,
-    shared_layout, sigma_phase, CoordinatorStrategy,
+    assign_coordinators, constants_phase, exchange_statistics, run_single_cfd, shared_layout,
+    sigma_phase, CoordinatorStrategy, RoundOutput,
 };
 use crate::sigma::{sort_for_sigma, SigmaPartition};
 use dcd_cfd::codes::{CodeRow, ResolvedCfd};
 use dcd_cfd::violation::ViolationSet;
 use dcd_cfd::{Cfd, NormalPattern, PatternValue, SimpleCfd, ViolationReport};
 use dcd_dist::pool::scoped_map;
-use dcd_dist::{HorizontalPartition, ShipmentLedger, SiteClocks, SiteId, TID_CELLS};
-use dcd_obs::RunObserver;
+use dcd_dist::{HorizontalPartition, SiteId, TID_CELLS};
 use dcd_relation::{AttrId, FxHashSet};
 
-/// A detection algorithm for a *set* Σ of CFDs.
-///
-/// The trait carries *identity only* (the paper name); execution goes
-/// through the `DetectRequest` façade of the `distributed-cfd` root
-/// crate, which dispatches to the engines [`run_seq`] and [`run_clust`].
-/// The pre-façade `run` shim has been retired.
-pub trait MultiDetector {
-    /// The paper's name for the algorithm.
-    fn name(&self) -> &'static str;
-}
-
 /// Runs `SEQDETECT`: pipelined sequential processing, one CFD at a
-/// time over one shared ledger and clock set — the engine behind
-/// [`SeqDetect`] and the `DetectRequest` façade.
+/// time over one [`Run`] — the engine behind the `DetectRequest`
+/// façade. `inner` is the single-CFD strategy used per round (the
+/// paper runs either `PATDETECTS` or `PATDETECTRT`).
 pub fn run_seq(
     partition: &HorizontalPartition,
     sigma: &[Cfd],
     inner: CoordinatorStrategy,
     cfg: &RunConfig,
 ) -> Detection {
-    let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
-    let mut report = ViolationReport::default();
-    let mut paper_cost = 0.0;
-    for cfd in sigma {
-        for simple in cfd.simplify() {
-            let out = run_single_cfd(partition, &simple, inner, cfg, &ledger, &clocks, &obs);
-            for (name, vs) in out.report.per_cfd {
-                report.absorb(&name, vs);
-            }
-            paper_cost += out.paper_cost;
-        }
+    let run = Run::new(partition.n_sites(), *cfg);
+    let mut total = RoundOutput::default();
+    for simple in sigma.iter().flat_map(Cfd::simplify) {
+        total.absorb(run_single_cfd(&run, partition, &simple, inner));
     }
-    Detection::collect("SEQDETECT", report, paper_cost, &ledger, &clocks, &obs)
+    run.detection("SEQDETECT", total.report, total.paper_cost)
 }
 
 /// Runs `CLUSTDETECT`: clusters CFDs by LHS containment and ships each
-/// tuple at most once per cluster — the engine behind [`ClustDetect`]
-/// and the `DetectRequest` façade.
+/// tuple at most once per cluster — the engine behind the
+/// `DetectRequest` façade. `inner` assigns coordinators to the
+/// projected patterns.
 pub fn run_clust(
     partition: &HorizontalPartition,
     sigma: &[Cfd],
     inner: CoordinatorStrategy,
     cfg: &RunConfig,
 ) -> Detection {
-    let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
-    let mut report = ViolationReport::default();
-    let mut paper_cost = 0.0;
-
+    let run = Run::new(partition.n_sites(), *cfg);
+    let mut total = RoundOutput::default();
     let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();
-    let clusters = cluster_by_lhs(&simples);
-    for cluster in clusters {
+    for cluster in cluster_by_lhs(&simples) {
         let members: Vec<&SimpleCfd> = cluster.iter().map(|&i| &simples[i]).collect();
-        let out = if members.len() == 1 {
-            run_single_cfd(partition, members[0], inner, cfg, &ledger, &clocks, &obs)
+        total.absorb(if members.len() == 1 {
+            run_single_cfd(&run, partition, members[0], inner)
         } else {
-            run_cluster(partition, &members, inner, cfg, &ledger, &clocks, &obs)
-        };
-        for (name, vs) in out.report.per_cfd {
-            report.absorb(&name, vs);
-        }
-        paper_cost += out.paper_cost;
+            run_cluster(&run, partition, &members, inner)
+        });
     }
-    Detection::collect("CLUSTDETECT", report, paper_cost, &ledger, &clocks, &obs)
-}
-
-/// `SEQDETECT`: pipelined sequential processing, one CFD at a time.
-#[derive(Debug, Clone, Copy)]
-pub struct SeqDetect {
-    /// The single-CFD strategy used per round (the paper runs either
-    /// `PATDETECTS` or `PATDETECTRT`).
-    pub inner: CoordinatorStrategy,
-}
-
-impl Default for SeqDetect {
-    fn default() -> Self {
-        SeqDetect { inner: CoordinatorStrategy::MinResponseTime }
-    }
-}
-
-impl MultiDetector for SeqDetect {
-    fn name(&self) -> &'static str {
-        "SEQDETECT"
-    }
-}
-
-/// `CLUSTDETECT`: clusters CFDs by LHS containment and ships each tuple
-/// at most once per cluster.
-#[derive(Debug, Clone, Copy)]
-pub struct ClustDetect {
-    /// Coordinator strategy for the projected-pattern assignment.
-    pub inner: CoordinatorStrategy,
-}
-
-impl Default for ClustDetect {
-    fn default() -> Self {
-        ClustDetect { inner: CoordinatorStrategy::MinResponseTime }
-    }
-}
-
-impl MultiDetector for ClustDetect {
-    fn name(&self) -> &'static str {
-        "CLUSTDETECT"
-    }
+    run.detection("CLUSTDETECT", total.report, total.paper_cost)
 }
 
 /// Greedy clustering on the LHS containment condition: a CFD joins the
@@ -174,14 +105,12 @@ pub fn cluster_by_lhs(cfds: &[SimpleCfd]) -> Vec<Vec<usize>> {
 /// σ-partition on the `Z`-projected tableau, one shipment per tuple, all
 /// member CFDs validated at the coordinators.
 fn run_cluster(
+    run: &Run,
     partition: &HorizontalPartition,
     members: &[&SimpleCfd],
     strategy: CoordinatorStrategy,
-    cfg: &RunConfig,
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
-    obs: &RunObserver,
-) -> crate::runner::RoundOutput {
+) -> RoundOutput {
+    let cfg = run.cfg();
     let n = partition.n_sites();
     let mut report = ViolationReport::default();
     for m in members {
@@ -197,9 +126,7 @@ fn run_cluster(
     for m in members {
         let (var, constants) = m.split_constant();
         if !constants.is_empty() {
-            let before = clocks.snapshot();
-            let checked = constants_phase(partition.fragments(), &constants, cfg, clocks);
-            obs.span_sites(&format!("constants:{}", m.name), &before, &clocks.snapshot());
+            let checked = constants_phase(run, &m.name, partition.fragments(), &constants);
             for (i, (vs, secs)) in checked.into_iter().enumerate() {
                 local_secs[i] += secs;
                 report.absorb(&m.name, vs);
@@ -211,7 +138,7 @@ fn run_cluster(
     }
     if variable_members.is_empty() {
         let paper_cost = cfg.cost.paper_cost(&vec![vec![0; n]; n], &local_secs);
-        return crate::runner::RoundOutput { report, paper_cost };
+        return RoundOutput { report, paper_cost };
     }
 
     // Common attributes Z = ∩ LHS; by the containment invariant this is
@@ -228,15 +155,11 @@ fn run_cluster(
     };
     if z.is_empty() {
         // Degenerate cluster; fall back to sequential rounds.
-        let mut paper_cost = 0.0;
+        let mut total = RoundOutput { report, paper_cost: 0.0 };
         for m in &variable_members {
-            let out = run_single_cfd(partition, m, strategy, cfg, ledger, clocks, obs);
-            for (name, vs) in out.report.per_cfd {
-                report.absorb(&name, vs);
-            }
-            paper_cost += out.paper_cost;
+            total.absorb(run_single_cfd(run, partition, m, strategy));
         }
-        return crate::runner::RoundOutput { report, paper_cost };
+        return total;
     }
 
     // Projected tableau over Z (deduplicated), as a pseudo-CFD for σ.
@@ -268,18 +191,14 @@ fn run_cluster(
     let applicable: Vec<Vec<usize>> =
         partition.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
     let mut parts: Vec<SigmaPartition> = Vec::with_capacity(n);
-    let before = clocks.snapshot();
-    let scanned = sigma_phase(partition.fragments(), &sorted, &applicable, cfg, clocks);
-    obs.span_sites("sigma:cluster", &before, &clocks.snapshot());
+    let scanned = sigma_phase(run, "cluster", partition.fragments(), &sorted, &applicable);
     for (i, (part, secs)) in scanned.into_iter().enumerate() {
         local_secs[i] += secs;
         parts.push(part);
     }
 
     // Statistics exchange, among participating sites only.
-    let before = clocks.snapshot();
-    exchange_statistics(&applicable, k, n, cfg, ledger, clocks);
-    obs.span_sites("exchange:cluster", &before, &clocks.snapshot());
+    exchange_statistics(run, "cluster", &applicable, k);
 
     // Coordinators per projected pattern.
     let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
@@ -302,7 +221,7 @@ fn run_cluster(
     // Resolve every member against the union layout once; each
     // coordinator validates all members from the same compilation,
     // feeding the run's kernel counters.
-    let counters = dcd_cfd::KernelCounters::register(&obs.registry);
+    let counters = dcd_cfd::KernelCounters::register(run.registry());
     let resolved: Vec<ResolvedCfd> = variable_members
         .iter()
         .map(|m| {
@@ -313,51 +232,43 @@ fn run_cluster(
         .collect();
     let mut matrix = vec![vec![0usize; n]; n];
     let mut gathered: Vec<Vec<CodeRow>> = vec![Vec::new(); n];
-    for (l, coord) in assignment.iter().enumerate() {
-        let Some(c) = *coord else { continue };
-        for (i, frag) in partition.fragments().iter().enumerate() {
-            let block = &parts[i].blocks[l];
-            if block.is_empty() {
-                continue;
+    run.phase("ship:cluster", |clk| {
+        for (l, coord) in assignment.iter().enumerate() {
+            let Some(c) = *coord else { continue };
+            for (i, frag) in partition.fragments().iter().enumerate() {
+                let block = &parts[i].blocks[l];
+                if block.is_empty() {
+                    continue;
+                }
+                if i != c.index() {
+                    let cells = block.len() * (attrs.len() + TID_CELLS);
+                    run.ledger().charge_codes(c, frag.site, block.len(), cells);
+                    matrix[c.index()][i] += block.len();
+                }
+                gathered[c.index()].extend(frag.data.code_rows(&attrs, block));
             }
-            if i != c.index() {
-                let cells = block.len() * (attrs.len() + TID_CELLS);
-                ledger.charge_codes(c, frag.site, block.len(), cells);
-                matrix[c.index()][i] += block.len();
-            }
-            gathered[c.index()].extend(frag.data.code_rows(&attrs, block));
         }
-    }
-    let before = clocks.snapshot();
-    clocks.transfer(&matrix, &cfg.cost);
-    obs.span_sites("ship:cluster", &before, &clocks.snapshot());
+        clk.transfer(&matrix);
+    });
 
     // Validate every member CFD at each coordinator, in parallel, on
     // codes (each member's attributes resolve to cell positions of the
     // cluster's union layout).
-    let before = clocks.snapshot();
-    let validated = scoped_map(cfg.threads, n, |c| {
-        let rows = &gathered[c];
-        if rows.is_empty() {
-            return None;
-        }
-        let site = SiteId(c as u32);
-        let analytic = cfg.cost.check_time(rows.len()) * variable_members.len() as f64;
-        Some(charge(
-            clocks,
-            site,
-            cfg,
-            || {
-                variable_members
-                    .iter()
-                    .zip(&resolved)
-                    .map(|(m, r)| (m.name.clone(), r.detect_among(rows)))
-                    .collect::<Vec<(String, ViolationSet)>>()
-            },
-            |_| analytic,
-        ))
+    let validated = run.phase("validate:cluster", |clk| {
+        scoped_map(cfg.threads, n, |c| {
+            let rows = &gathered[c];
+            if rows.is_empty() {
+                return None;
+            }
+            let results: Vec<(String, ViolationSet)> = variable_members
+                .iter()
+                .zip(&resolved)
+                .map(|(m, r)| (m.name.clone(), r.detect_among(rows)))
+                .collect();
+            let secs = cfg.cost.check_time(rows.len()) * variable_members.len() as f64;
+            Some((results, clk.charge(SiteId(c as u32), secs)))
+        })
     });
-    obs.span_sites("validate:cluster", &before, &clocks.snapshot());
     for (c, outcome) in validated.into_iter().enumerate() {
         if let Some((results, secs)) = outcome {
             local_secs[c] += secs;
@@ -368,7 +279,7 @@ fn run_cluster(
     }
 
     let paper_cost = cfg.cost.paper_cost(&matrix, &local_secs);
-    crate::runner::RoundOutput { report, paper_cost }
+    RoundOutput { report, paper_cost }
 }
 
 #[cfg(test)]

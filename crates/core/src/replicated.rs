@@ -16,14 +16,16 @@
 use crate::config::RunConfig;
 use crate::local::applicable_patterns;
 use crate::report::Detection;
-use crate::runner::{charge, constants_phase, exchange_statistics, shared_layout, sigma_phase};
+use crate::run::Run;
+use crate::runner::{
+    constants_phase, exchange_statistics, shared_layout, sigma_phase, RoundOutput,
+};
 use crate::sigma::{sort_for_sigma, SigmaPartition};
 use dcd_cfd::codes::CodeRow;
 use dcd_cfd::violation::ViolationSet;
 use dcd_cfd::{Cfd, SimpleCfd, ViolationReport};
 use dcd_dist::pool::scoped_map;
-use dcd_dist::{ReplicatedPartition, ShipmentLedger, SiteClocks, SiteId, TID_CELLS};
-use dcd_obs::RunObserver;
+use dcd_dist::{ReplicatedPartition, SiteId, TID_CELLS};
 
 /// Runs `REPDETECT` over a replicated partition — the engine behind
 /// the `DetectRequest` façade of the `distributed-cfd` root crate.
@@ -32,33 +34,16 @@ pub fn run_replicated(
     sigma: &[Cfd],
     cfg: &RunConfig,
 ) -> Detection {
-    let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
-    let mut report = ViolationReport::default();
-    let mut paper_cost = 0.0;
-
-    let simples: Vec<SimpleCfd> = sigma.iter().flat_map(Cfd::simplify).collect();
-    for cfd in &simples {
-        let out = run_one(partition, cfd, cfg, &ledger, &clocks, &obs);
-        for (name, vs) in out.0.per_cfd {
-            report.absorb(&name, vs);
-        }
-        paper_cost += out.1;
+    let run = Run::new(partition.n_sites(), *cfg);
+    let mut total = RoundOutput::default();
+    for cfd in sigma.iter().flat_map(Cfd::simplify) {
+        total.absorb(run_one(&run, partition, &cfd));
     }
-
-    Detection::collect("REPDETECT", report, paper_cost, &ledger, &clocks, &obs)
+    run.detection("REPDETECT", total.report, total.paper_cost)
 }
 
-fn run_one(
-    partition: &ReplicatedPartition,
-    cfd: &SimpleCfd,
-    cfg: &RunConfig,
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
-    obs: &RunObserver,
-) -> (ViolationReport, f64) {
+fn run_one(run: &Run, partition: &ReplicatedPartition, cfd: &SimpleCfd) -> RoundOutput {
+    let cfg = run.cfg();
     let base = partition.base();
     let n = base.n_sites();
     let mut report = ViolationReport::default();
@@ -69,17 +54,15 @@ fn run_one(
     // one morsel per (site, chunk).
     let (variable, constants) = cfd.split_constant();
     if !constants.is_empty() {
-        let before = clocks.snapshot();
-        let checked = constants_phase(base.fragments(), &constants, cfg, clocks);
-        obs.span_sites(&format!("constants:{}", cfd.name), &before, &clocks.snapshot());
+        let checked = constants_phase(run, &cfd.name, base.fragments(), &constants);
         for (i, (vs, secs)) in checked.into_iter().enumerate() {
             local_secs[i] += secs;
             report.absorb(&cfd.name, vs);
         }
     }
     let Some(variable) = variable else {
-        let paper = cfg.cost.paper_cost(&vec![vec![0; n]; n], &local_secs);
-        return (report, paper);
+        let paper_cost = cfg.cost.paper_cost(&vec![vec![0; n]; n], &local_secs);
+        return RoundOutput { report, paper_cost };
     };
 
     // σ-partition primaries (statistics are placement-independent), one
@@ -90,16 +73,12 @@ fn run_one(
     let applicable: Vec<Vec<usize>> =
         base.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
     let mut parts: Vec<SigmaPartition> = Vec::with_capacity(n);
-    let before = clocks.snapshot();
-    let scanned = sigma_phase(base.fragments(), &sorted, &applicable, cfg, clocks);
-    obs.span_sites(&format!("sigma:{}", cfd.name), &before, &clocks.snapshot());
+    let scanned = sigma_phase(run, &cfd.name, base.fragments(), &sorted, &applicable);
     for (i, (part, secs)) in scanned.into_iter().enumerate() {
         local_secs[i] += secs;
         parts.push(part);
     }
-    let before = clocks.snapshot();
-    exchange_statistics(&applicable, k, n, cfg, ledger, clocks);
-    obs.span_sites(&format!("exchange:{}", cfd.name), &before, &clocks.snapshot());
+    exchange_statistics(run, &cfd.name, &applicable, k);
 
     // Replica-aware coordinator per pattern: maximize locally available
     // tuples. Fragments the coordinator holds no replica of ship their
@@ -111,65 +90,56 @@ fn run_one(
     // Resolve the tableau once per round; every coordinator job reuses
     // the compiled patterns and feeds the run's kernel counters.
     let mut resolved = shared_layout(base.fragments(), &attrs).resolve(&sorted.cfd);
-    resolved.set_counters(dcd_cfd::KernelCounters::register(&obs.registry));
-    #[allow(clippy::needless_range_loop)] // l indexes a column of lstat
-    for l in 0..k {
-        let total: usize = (0..n).map(|f| lstat[f][l]).sum();
-        if total == 0 {
-            continue;
-        }
-        let coord = (0..n)
-            .max_by_key(|&s| {
-                let available: usize = (0..n)
-                    .filter(|&f| partition.holds(SiteId(s as u32), f))
-                    .map(|f| lstat[f][l])
-                    .sum();
-                (available, n - s)
-            })
-            .expect("n > 0");
-        let coord_site = SiteId(coord as u32);
-        let mut rows: Vec<CodeRow> = Vec::new();
-        for (f, frag) in base.fragments().iter().enumerate() {
-            let block = &parts[f].blocks[l];
-            if block.is_empty() {
+    resolved.set_counters(dcd_cfd::KernelCounters::register(run.registry()));
+    run.phase(&format!("ship:{}", cfd.name), |clk| {
+        #[allow(clippy::needless_range_loop)] // l indexes a column of lstat
+        for l in 0..k {
+            let total: usize = (0..n).map(|f| lstat[f][l]).sum();
+            if total == 0 {
                 continue;
             }
-            if !partition.holds(coord_site, f) {
-                let cells = block.len() * (attrs.len() + TID_CELLS);
-                ledger.charge_codes(coord_site, frag.site, block.len(), cells);
-                matrix[coord][f] += block.len();
-            }
-            rows.extend(frag.data.code_rows(&attrs, block));
-        }
-        gathered[coord].push((l, rows));
-    }
-    let before = clocks.snapshot();
-    clocks.transfer(&matrix, &cfg.cost);
-    obs.span_sites(&format!("ship:{}", cfd.name), &before, &clocks.snapshot());
-
-    let before = clocks.snapshot();
-    let validated = scoped_map(cfg.threads, n, |c| {
-        let jobs = &gathered[c];
-        if jobs.is_empty() {
-            return None;
-        }
-        let site = SiteId(c as u32);
-        let analytic: f64 = jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum();
-        Some(charge(
-            clocks,
-            site,
-            cfg,
-            || {
-                let mut vs = ViolationSet::default();
-                for (l, rs) in jobs {
-                    vs.merge(resolved.detect_pattern_among(rs.iter(), *l));
+            let coord = (0..n)
+                .max_by_key(|&s| {
+                    let available: usize = (0..n)
+                        .filter(|&f| partition.holds(SiteId(s as u32), f))
+                        .map(|f| lstat[f][l])
+                        .sum();
+                    (available, n - s)
+                })
+                .expect("n > 0");
+            let coord_site = SiteId(coord as u32);
+            let mut rows: Vec<CodeRow> = Vec::new();
+            for (f, frag) in base.fragments().iter().enumerate() {
+                let block = &parts[f].blocks[l];
+                if block.is_empty() {
+                    continue;
                 }
-                vs
-            },
-            |_| analytic,
-        ))
+                if !partition.holds(coord_site, f) {
+                    let cells = block.len() * (attrs.len() + TID_CELLS);
+                    run.ledger().charge_codes(coord_site, frag.site, block.len(), cells);
+                    matrix[coord][f] += block.len();
+                }
+                rows.extend(frag.data.code_rows(&attrs, block));
+            }
+            gathered[coord].push((l, rows));
+        }
+        clk.transfer(&matrix);
     });
-    obs.span_sites(&format!("validate:{}", cfd.name), &before, &clocks.snapshot());
+
+    let validated = run.phase(&format!("validate:{}", cfd.name), |clk| {
+        scoped_map(cfg.threads, n, |c| {
+            let jobs = &gathered[c];
+            if jobs.is_empty() {
+                return None;
+            }
+            let mut vs = ViolationSet::default();
+            for (l, rs) in jobs {
+                vs.merge(resolved.detect_pattern_among(rs.iter(), *l));
+            }
+            let secs: f64 = jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum();
+            Some((vs, clk.charge(SiteId(c as u32), secs)))
+        })
+    });
     for (c, outcome) in validated.into_iter().enumerate() {
         if let Some((vs, secs)) = outcome {
             local_secs[c] += secs;
@@ -177,15 +147,14 @@ fn run_one(
         }
     }
 
-    let paper = cfg.cost.paper_cost(&matrix, &local_secs);
-    (report, paper)
+    let paper_cost = cfg.cost.paper_cost(&matrix, &local_secs);
+    RoundOutput { report, paper_cost }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::{Detector, PatDetectS};
-    use crate::runner::run_batch;
+    use crate::runner::{run_batch, CoordinatorStrategy};
     use dcd_cfd::parse_cfd;
     use dcd_dist::HorizontalPartition;
     use dcd_relation::{vals, Relation, Schema, ValueType};
@@ -223,7 +192,7 @@ mod tests {
         let replicated = ReplicatedPartition::chained(base.clone(), 1).unwrap();
         let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
         let cfg = RunConfig::default();
-        let plain = run_batch(&base, &cfd.simplify(), PatDetectS.strategy(), &cfg);
+        let plain = run_batch(&base, &cfd.simplify(), CoordinatorStrategy::MinShipment, &cfg);
         let rep = run_replicated(&replicated, std::slice::from_ref(&cfd), &cfg);
         assert_eq!(rep.violations.all_tids(), plain.violations.all_tids());
         assert_eq!(rep.shipped_tuples, plain.shipped_tuples);

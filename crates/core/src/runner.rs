@@ -8,9 +8,10 @@
 //! exchange, shipment execution, coordinator-side validation and cost
 //! accounting — is identical and lives here.
 
-use crate::config::{ComputeModel, RunConfig};
+use crate::config::RunConfig;
 use crate::local::{applicable_patterns, check_constants_range_with, compile_constants};
 use crate::report::Detection;
+use crate::run::Run;
 use crate::sigma::{
     sigma_partition_range_with, sort_for_sigma, SigmaIndex, SigmaPartition, SortedCfd,
 };
@@ -18,12 +19,8 @@ use dcd_cfd::codes::{CodeLayout, CodeRow};
 use dcd_cfd::violation::ViolationSet;
 use dcd_cfd::{NormalCfd, SimpleCfd, ViolationReport};
 use dcd_dist::pool::{morsel_map, scoped_map};
-use dcd_dist::{
-    CostModel, Fragment, HorizontalPartition, ShipmentLedger, SiteClocks, SiteId, TID_CELLS,
-};
-use dcd_obs::RunObserver;
+use dcd_dist::{CostModel, Fragment, HorizontalPartition, SiteId, TID_CELLS};
 use dcd_relation::{AttrId, Relation};
-use std::time::Instant;
 
 /// How coordinators are assigned to the pattern tuples of one CFD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +65,7 @@ pub(crate) fn shared_layout(fragments: &[Fragment], attrs: &[AttrId]) -> CodeLay
 }
 
 /// Result of one single-CFD detection round.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RoundOutput {
     /// Violations found this round (constant + variable parts merged
     /// under the CFD's name).
@@ -77,47 +74,15 @@ pub struct RoundOutput {
     pub paper_cost: f64,
 }
 
-/// Runs `work` at `site`, advancing its clock by either the analytic
-/// estimate (computed from the result) or the measured wall time.
-/// Returns the result and the seconds charged. Callable from pool
-/// threads — `SiteClocks` advances atomically; the per-site phases
-/// charge each site from exactly one task, so clock values stay
-/// bit-identical across pool sizes (in Measured mode the *structure*
-/// is identical, but oversubscribed cores inflate the measured secs).
-///
-/// Public so that other execution modes (the incremental delta
-/// protocol of `dcd-incr`) charge sites exactly like the batch
-/// detectors do.
-pub fn charge<R>(
-    clocks: &SiteClocks,
-    site: SiteId,
-    cfg: &RunConfig,
-    work: impl FnOnce() -> R,
-    analytic_of: impl FnOnce(&R) -> f64,
-) -> (R, f64) {
-    // dcd-lint: allow(wall-clock) — `ComputeModel::Measured` scales real
-    // elapsed time by design; `Analytic` (the deterministic default)
-    // never reads `start`.
-    let start = Instant::now();
-    let r = work();
-    let secs = match cfg.compute {
-        ComputeModel::Analytic => analytic_of(&r),
-        ComputeModel::Measured { scale } => start.elapsed().as_secs_f64() * scale,
-    };
-    clocks.advance(site, secs);
-    (r, secs)
-}
-
-/// Times one unit of work against the host clock. Measured-mode seconds
-/// are summed per site across its morsels before the site's single clock
-/// advance; `Analytic` mode never reads the measurement.
-pub(crate) fn run_timed<R>(work: impl FnOnce() -> R) -> (R, f64) {
-    // dcd-lint: allow(wall-clock) — `ComputeModel::Measured` scales real
-    // elapsed time by design; `Analytic` (the deterministic default)
-    // ignores the value.
-    let start = Instant::now();
-    let r = work();
-    (r, start.elapsed().as_secs_f64())
+impl RoundOutput {
+    /// Folds a later round into this one: reports merge per CFD, paper
+    /// costs add up.
+    pub(crate) fn absorb(&mut self, round: RoundOutput) {
+        for (name, vs) in round.report.per_cfd {
+            self.report.absorb(&name, vs);
+        }
+        self.paper_cost += round.paper_cost;
+    }
 }
 
 /// Global row range of chunk `c` of `rel` — the span one (site, chunk)
@@ -127,179 +92,168 @@ fn chunk_span(rel: &Relation, c: usize) -> (usize, usize) {
     (c * cr, ((c + 1) * cr).min(rel.len()))
 }
 
-/// The morselized Proposition-5 phase shared by every engine: constant
-/// CFDs checked locally, one morsel per (site, chunk), partial violation
-/// sets merged per site in chunk order. Each site's clock is advanced
-/// exactly once — in `Analytic` mode by the same formula the
-/// site-granular phase used (so clocks are bit-identical across pool
-/// widths *and* chunk sizes), in `Measured` mode by the sum of its
-/// morsels' wall times. Returns per-site `(violations, secs_charged)`.
+/// The morselized Proposition-5 phase shared by every engine, run as
+/// the phase `constants:{label}`: constant CFDs checked locally, one
+/// morsel per (site, chunk), partial violation sets merged per site in
+/// chunk order. Each site is charged exactly once, by the same formula
+/// the site-granular phase used, so clocks are bit-identical across
+/// pool widths *and* chunk sizes. Returns per-site
+/// `(violations, secs_charged)`.
 pub(crate) fn constants_phase(
+    run: &Run,
+    label: &str,
     fragments: &[Fragment],
     constants: &[NormalCfd],
-    cfg: &RunConfig,
-    clocks: &SiteClocks,
 ) -> Vec<(ViolationSet, f64)> {
-    let counts: Vec<usize> = fragments.iter().map(|f| f.data.n_chunks()).collect();
-    // Per-fragment resolution (partitioning condition + tableau
-    // compilation) happens once, not once per morsel.
-    let compiled: Vec<_> = fragments.iter().map(|f| compile_constants(f, constants)).collect();
-    let partials = morsel_map(cfg.threads, &counts, |i, c| {
-        let frag = &fragments[i];
-        let (start, end) = chunk_span(&frag.data, c);
-        run_timed(|| check_constants_range_with(frag, &compiled[i], start, end))
-    });
-    partials
-        .into_iter()
-        .enumerate()
-        .map(|(i, per_site)| {
+    let cfg = run.cfg();
+    run.phase(&format!("constants:{label}"), |clk| {
+        let counts: Vec<usize> = fragments.iter().map(|f| f.data.n_chunks()).collect();
+        // Per-fragment resolution (partitioning condition + tableau
+        // compilation) happens once, not once per morsel.
+        let compiled: Vec<_> = fragments.iter().map(|f| compile_constants(f, constants)).collect();
+        let partials = morsel_map(cfg.threads, &counts, |i, c| {
             let frag = &fragments[i];
-            let mut vs = ViolationSet::default();
-            let mut measured = 0.0;
-            for (partial, secs) in per_site {
-                vs.merge(partial);
-                measured += secs;
-            }
-            let secs = match cfg.compute {
-                ComputeModel::Analytic => {
-                    cfg.cost.scan_time(frag.data.len())
-                        + cfg.cost.match_coeff * frag.data.len() as f64 * constants.len() as f64
+            let (start, end) = chunk_span(&frag.data, c);
+            check_constants_range_with(frag, &compiled[i], start, end)
+        });
+        partials
+            .into_iter()
+            .zip(fragments)
+            .map(|(per_site, frag)| {
+                let mut vs = ViolationSet::default();
+                for partial in per_site {
+                    vs.merge(partial);
                 }
-                ComputeModel::Measured { scale } => measured * scale,
-            };
-            clocks.advance(frag.site, secs);
-            (vs, secs)
-        })
-        .collect()
+                let rows = frag.data.len();
+                let secs = cfg.cost.scan_time(rows)
+                    + cfg.cost.match_coeff * rows as f64 * constants.len() as f64;
+                (vs, clk.charge(frag.site, secs))
+            })
+            .collect()
+    })
 }
 
-/// The morselized σ-partition phase shared by every engine: one morsel
-/// per (site, chunk), per-range partitions merged per site in chunk
-/// order — block concatenation reproduces the whole-fragment partition
-/// and `comparisons` sums exactly (each row's tries depend only on its
-/// LHS key), so clocks stay bit-identical across pool widths and chunk
-/// sizes. Sites the partitioning condition excludes (`applicable[i]`
-/// empty) contribute no morsels, get an empty partition, and are not
-/// charged. Returns per-site `(partition, secs_charged)`.
+/// The morselized σ-partition phase shared by every engine, run as the
+/// phase `sigma:{label}`: one morsel per (site, chunk), per-range
+/// partitions merged per site in chunk order — block concatenation
+/// reproduces the whole-fragment partition and `comparisons` sums
+/// exactly (each row's tries depend only on its LHS key), so clocks
+/// stay bit-identical across pool widths and chunk sizes. Sites the
+/// partitioning condition excludes (`applicable[i]` empty) contribute
+/// no morsels, get an empty partition, and are not charged. Returns
+/// per-site `(partition, secs_charged)`.
 pub(crate) fn sigma_phase(
+    run: &Run,
+    label: &str,
     fragments: &[Fragment],
     sorted: &SortedCfd,
     applicable: &[Vec<usize>],
-    cfg: &RunConfig,
-    clocks: &SiteClocks,
 ) -> Vec<(SigmaPartition, f64)> {
-    let k = sorted.cfd.tableau.len();
-    let counts: Vec<usize> = fragments
-        .iter()
-        .zip(applicable)
-        .map(|(f, app)| if app.is_empty() { 0 } else { f.data.n_chunks() })
-        .collect();
-    // The tableau compiles — and the σ decision index builds — once per
-    // fragment; every morsel of the fragment shares the same index.
-    let indexes: Vec<SigmaIndex> = fragments
-        .iter()
-        .zip(applicable)
-        .map(|(f, app)| {
-            if app.is_empty() {
-                return SigmaIndex::build(&[], &[]);
-            }
-            let compiled = dcd_cfd::pattern::compile_tableau(
-                &sorted.cfd.tableau,
-                &f.data,
-                &sorted.cfd.lhs,
-                sorted.cfd.rhs,
-            );
-            SigmaIndex::build(&compiled, app)
-        })
-        .collect();
-    let partials = morsel_map(cfg.threads, &counts, |i, c| {
-        let frag = &fragments[i];
-        let (start, end) = chunk_span(&frag.data, c);
-        run_timed(|| sigma_partition_range_with(&frag.data, sorted, &indexes[i], start, end))
-    });
-    partials
-        .into_iter()
-        .enumerate()
-        .map(|(i, per_site)| {
-            if applicable[i].is_empty() {
-                // Partitioning condition: the site is irrelevant to every
-                // pattern — it does not even scan (and is not charged).
-                return (SigmaPartition { blocks: vec![Vec::new(); k], comparisons: 0 }, 0.0);
-            }
+    let cfg = run.cfg();
+    run.phase(&format!("sigma:{label}"), |clk| {
+        let k = sorted.cfd.tableau.len();
+        let counts: Vec<usize> = fragments
+            .iter()
+            .zip(applicable)
+            .map(|(f, app)| if app.is_empty() { 0 } else { f.data.n_chunks() })
+            .collect();
+        // The tableau compiles — and the σ decision index builds — once
+        // per fragment; every morsel of the fragment shares the index.
+        let indexes: Vec<SigmaIndex> = fragments
+            .iter()
+            .zip(applicable)
+            .map(|(f, app)| {
+                if app.is_empty() {
+                    return SigmaIndex::build(&[], &[]);
+                }
+                let compiled = dcd_cfd::pattern::compile_tableau(
+                    &sorted.cfd.tableau,
+                    &f.data,
+                    &sorted.cfd.lhs,
+                    sorted.cfd.rhs,
+                );
+                SigmaIndex::build(&compiled, app)
+            })
+            .collect();
+        let partials = morsel_map(cfg.threads, &counts, |i, c| {
             let frag = &fragments[i];
-            let mut merged = SigmaPartition { blocks: vec![Vec::new(); k], comparisons: 0 };
-            let mut measured = 0.0;
-            for (partial, secs) in per_site {
-                for (block, partial_block) in merged.blocks.iter_mut().zip(partial.blocks) {
-                    block.extend(partial_block);
+            let (start, end) = chunk_span(&frag.data, c);
+            sigma_partition_range_with(&frag.data, sorted, &indexes[i], start, end)
+        });
+        partials
+            .into_iter()
+            .enumerate()
+            .map(|(i, per_site)| {
+                let mut merged = SigmaPartition { blocks: vec![Vec::new(); k], comparisons: 0 };
+                if applicable[i].is_empty() {
+                    // Partitioning condition: the site is irrelevant to
+                    // every pattern — it does not even scan (and is not
+                    // charged).
+                    return (merged, 0.0);
                 }
-                merged.comparisons += partial.comparisons;
-                measured += secs;
-            }
-            let secs = match cfg.compute {
-                ComputeModel::Analytic => {
-                    cfg.cost.scan_time(frag.data.len())
-                        + cfg.cost.match_coeff * merged.comparisons as f64
+                for partial in per_site {
+                    for (block, partial_block) in merged.blocks.iter_mut().zip(partial.blocks) {
+                        block.extend(partial_block);
+                    }
+                    merged.comparisons += partial.comparisons;
                 }
-                ComputeModel::Measured { scale } => measured * scale,
-            };
-            clocks.advance(frag.site, secs);
-            (merged, secs)
-        })
-        .collect()
+                let frag = &fragments[i];
+                let secs = cfg.cost.scan_time(frag.data.len())
+                    + cfg.cost.match_coeff * merged.comparisons as f64;
+                (merged, clk.charge(frag.site, secs))
+            })
+            .collect()
+    })
 }
 
-/// The §IV-B statistics exchange, with the participation rules shared
-/// by every detection round: sites whose fragmentation predicate
-/// refutes every pattern (`applicable[i]` empty) are excluded from the
-/// exchange, and with fewer than two participants the exchange — its
-/// `8·k`-byte messages, their send time, and the barrier — is skipped
-/// entirely. Each participant is charged [`CostModel::control_time`]
-/// for its outgoing control packets before the barrier, and the barrier
-/// spans *participants only*: an excluded site keeps its own clock and
+/// The §IV-B statistics exchange, run as the phase `exchange:{label}`,
+/// with the participation rules shared by every detection round: sites
+/// whose fragmentation predicate refutes every pattern
+/// (`applicable[i]` empty) are excluded from the exchange, and with
+/// fewer than two participants the exchange — its `8·k`-byte messages,
+/// their send time, and the barrier — is skipped entirely. Each
+/// participant is charged [`CostModel::control_time`] for its outgoing
+/// control packets before the barrier, and the barrier spans
+/// *participants only*: an excluded site keeps its own clock and
 /// pipelines straight into the next round instead of idling through an
 /// exchange it takes no part in.
-pub(crate) fn exchange_statistics(
-    applicable: &[Vec<usize>],
-    k: usize,
-    n: usize,
-    cfg: &RunConfig,
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
-) {
-    let participants: Vec<usize> = (0..n).filter(|&i| !applicable[i].is_empty()).collect();
+pub(crate) fn exchange_statistics(run: &Run, label: &str, applicable: &[Vec<usize>], k: usize) {
+    let participants: Vec<SiteId> = (0..applicable.len())
+        .filter(|&i| !applicable[i].is_empty())
+        .map(|i| SiteId(i as u32))
+        .collect();
     if participants.len() < 2 {
         return;
     }
-    for &i in &participants {
-        for &j in &participants {
-            if i != j {
-                ledger.control(SiteId(j as u32), SiteId(i as u32), 8 * k);
+    run.phase(&format!("exchange:{label}"), |clk| {
+        for &i in &participants {
+            for &j in &participants {
+                if i != j {
+                    run.ledger().control(j, i, 8 * k);
+                }
             }
+            clk.charge(i, run.cfg().cost.control_time(participants.len() - 1));
         }
-        clocks.advance(SiteId(i as u32), cfg.cost.control_time(participants.len() - 1));
-    }
-    let latest = participants.iter().map(|&i| clocks.now(SiteId(i as u32))).fold(0.0, f64::max);
-    for &i in &participants {
-        clocks.wait_until(SiteId(i as u32), latest);
-    }
+        let latest = participants.iter().map(|&i| clk.now(i)).fold(0.0, f64::max);
+        for &i in &participants {
+            clk.wait_until(i, latest);
+        }
+    });
 }
 
 /// Runs one single-CFD detection round over a horizontal partition,
-/// recording traffic in `ledger` and time in `clocks` (both may carry
-/// state from earlier rounds — that is how `SEQDETECT` pipelines). The
-/// per-fragment phases run on `cfg.threads` scoped OS threads; results
-/// are merged in site order, so every output is bit-identical to a
+/// recording traffic and time in `run` (which may carry state from
+/// earlier rounds — that is how `SEQDETECT` pipelines). The
+/// per-fragment phases run on `cfg.threads` pool threads; results are
+/// merged in site order, so every output is bit-identical to a
 /// sequential run.
 pub fn run_single_cfd(
+    run: &Run,
     partition: &HorizontalPartition,
     cfd: &SimpleCfd,
     strategy: CoordinatorStrategy,
-    cfg: &RunConfig,
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
-    obs: &RunObserver,
 ) -> RoundOutput {
+    let cfg = run.cfg();
     let n = partition.n_sites();
     let mut report = ViolationReport::default();
     // Consumers always get an entry for this CFD, even when clean.
@@ -311,9 +265,7 @@ pub fn run_single_cfd(
     // one morsel per (site, chunk). ----
     let (variable, constants) = cfd.split_constant();
     if !constants.is_empty() {
-        let before = clocks.snapshot();
-        let checked = constants_phase(partition.fragments(), &constants, cfg, clocks);
-        obs.span_sites(&format!("constants:{}", cfd.name), &before, &clocks.snapshot());
+        let checked = constants_phase(run, &cfd.name, partition.fragments(), &constants);
         for (i, (vs, secs)) in checked.into_iter().enumerate() {
             local_secs[i] += secs;
             report.absorb(&cfd.name, vs);
@@ -335,9 +287,7 @@ pub fn run_single_cfd(
     let applicable: Vec<Vec<usize>> =
         partition.fragments().iter().map(|f| applicable_patterns(f, &sorted.cfd)).collect();
     let mut parts: Vec<SigmaPartition> = Vec::with_capacity(n);
-    let before = clocks.snapshot();
-    let scanned = sigma_phase(partition.fragments(), &sorted, &applicable, cfg, clocks);
-    obs.span_sites(&format!("sigma:{}", cfd.name), &before, &clocks.snapshot());
+    let scanned = sigma_phase(run, &cfd.name, partition.fragments(), &sorted, &applicable);
     for (i, (part, secs)) in scanned.into_iter().enumerate() {
         local_secs[i] += secs;
         parts.push(part);
@@ -349,9 +299,7 @@ pub fn run_single_cfd(
     // fewer than two sites hold an applicable pattern there is nothing
     // to exchange and the whole phase — messages and barrier — is
     // skipped, preserving `SEQDETECT`'s pipelining across such rounds.
-    let before = clocks.snapshot();
-    exchange_statistics(&applicable, k, n, cfg, ledger, clocks);
-    obs.span_sites(&format!("exchange:{}", cfd.name), &before, &clocks.snapshot());
+    exchange_statistics(run, &cfd.name, &applicable, k);
 
     // ---- Phase 3: coordinator assignment. ----
     let lstat: Vec<Vec<usize>> = parts.iter().map(SigmaPartition::lstat).collect();
@@ -370,75 +318,61 @@ pub fn run_single_cfd(
     // the compiled patterns — and feeds the run's kernel counters
     // (register-or-get: rounds of one run accumulate into one family).
     let mut resolved = layout.resolve(&sorted.cfd);
-    resolved.set_counters(dcd_cfd::KernelCounters::register(&obs.registry));
+    resolved.set_counters(dcd_cfd::KernelCounters::register(run.registry()));
     let mut matrix = vec![vec![0usize; n]; n];
     // gathered[c] = (pattern, wire rows) pairs to validate at site c.
     let mut gathered: Vec<Vec<(usize, Vec<CodeRow>)>> = vec![Vec::new(); n];
-    for (l, coord) in assignment.iter().enumerate() {
-        let Some(c) = *coord else { continue };
-        let mut rows: Vec<CodeRow> = Vec::new();
-        for (i, frag) in partition.fragments().iter().enumerate() {
-            let block = &parts[i].blocks[l];
-            if block.is_empty() {
-                continue;
+    run.phase(&format!("ship:{}", cfd.name), |clk| {
+        for (l, coord) in assignment.iter().enumerate() {
+            let Some(c) = *coord else { continue };
+            let mut rows: Vec<CodeRow> = Vec::new();
+            for (i, frag) in partition.fragments().iter().enumerate() {
+                let block = &parts[i].blocks[l];
+                if block.is_empty() {
+                    continue;
+                }
+                if i != c.index() {
+                    let cells = block.len() * (attrs.len() + TID_CELLS);
+                    run.ledger().charge_codes(c, frag.site, block.len(), cells);
+                    matrix[c.index()][i] += block.len();
+                }
+                rows.extend(frag.data.code_rows(&attrs, block));
             }
-            if i != c.index() {
-                let cells = block.len() * (attrs.len() + TID_CELLS);
-                ledger.charge_codes(c, frag.site, block.len(), cells);
-                matrix[c.index()][i] += block.len();
-            }
-            rows.extend(frag.data.code_rows(&attrs, block));
+            gathered[c.index()].push((l, rows));
         }
-        gathered[c.index()].push((l, rows));
-    }
-    let before = clocks.snapshot();
-    clocks.transfer(&matrix, &cfg.cost);
-    obs.span_sites(&format!("ship:{}", cfd.name), &before, &clocks.snapshot());
+        clk.transfer(&matrix);
+    });
 
     // ---- Phase 5: validation at coordinators, in parallel, on codes:
     // grouping keys are packed `CodeKey`s and the distinct-RHS test
     // compares `u32` codes; only violating group keys are decoded. ----
-    let before = clocks.snapshot();
-    let validated = scoped_map(cfg.threads, n, |c| {
-        let jobs = &gathered[c];
-        if jobs.is_empty() {
-            return None;
-        }
-        let site = SiteId(c as u32);
-        Some(match strategy {
-            CoordinatorStrategy::Central => {
-                // One detection query over everything gathered
-                // (flattened by reference — no row buffer is cloned).
-                let all: Vec<&CodeRow> = jobs.iter().flat_map(|(_, rs)| rs.iter()).collect();
-                let total = all.len();
-                charge(
-                    clocks,
-                    site,
-                    cfg,
-                    || resolved.detect_among(&all),
-                    |_| cfg.cost.check_time(total),
-                )
+    let validated = run.phase(&format!("validate:{}", cfd.name), |clk| {
+        scoped_map(cfg.threads, n, |c| {
+            let jobs = &gathered[c];
+            if jobs.is_empty() {
+                return None;
             }
-            _ => {
-                // One detection query per pattern block.
-                let analytic: f64 = jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum();
-                charge(
-                    clocks,
-                    site,
-                    cfg,
-                    || {
-                        let mut vs = ViolationSet::default();
-                        for (l, rs) in jobs {
-                            vs.merge(resolved.detect_pattern_among(rs.iter(), *l));
-                        }
-                        vs
-                    },
-                    |_| analytic,
-                )
-            }
+            let site = SiteId(c as u32);
+            Some(match strategy {
+                CoordinatorStrategy::Central => {
+                    // One detection query over everything gathered
+                    // (flattened by reference — no row buffer is cloned).
+                    let all: Vec<&CodeRow> = jobs.iter().flat_map(|(_, rs)| rs.iter()).collect();
+                    let vs = resolved.detect_among(&all);
+                    (vs, clk.charge(site, cfg.cost.check_time(all.len())))
+                }
+                _ => {
+                    // One detection query per pattern block.
+                    let mut vs = ViolationSet::default();
+                    for (l, rs) in jobs {
+                        vs.merge(resolved.detect_pattern_among(rs.iter(), *l));
+                    }
+                    let secs: f64 = jobs.iter().map(|(_, rs)| cfg.cost.check_time(rs.len())).sum();
+                    (vs, clk.charge(site, secs))
+                }
+            })
         })
     });
-    obs.span_sites(&format!("validate:{}", cfd.name), &before, &clocks.snapshot());
     for (c, outcome) in validated.into_iter().enumerate() {
         if let Some((vs, secs)) = outcome {
             local_secs[c] += secs;
@@ -451,32 +385,23 @@ pub fn run_single_cfd(
 }
 
 /// Runs a full batch detection session of single-RHS CFDs over a
-/// horizontal partition — the engine behind the [`crate::Detector`]
-/// trait shims and the `DetectRequest` façade of the `distributed-cfd`
-/// root crate. CFDs are processed as sequential rounds over one shared
-/// ledger and clock set (the pipelining `SEQDETECT` also builds on);
-/// the returned [`Detection`] is labelled with the strategy's paper
-/// name ([`CoordinatorStrategy::algorithm_name`]).
+/// horizontal partition — the engine behind the `DetectRequest` façade
+/// of the `distributed-cfd` root crate. CFDs are processed as
+/// sequential rounds over one [`Run`] (the pipelining `SEQDETECT` also
+/// builds on); the returned [`Detection`] is labelled with the
+/// strategy's paper name ([`CoordinatorStrategy::algorithm_name`]).
 pub fn run_batch(
     partition: &HorizontalPartition,
     cfds: &[SimpleCfd],
     strategy: CoordinatorStrategy,
     cfg: &RunConfig,
 ) -> Detection {
-    let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
-    let mut report = ViolationReport::default();
-    let mut paper_cost = 0.0;
+    let run = Run::new(partition.n_sites(), *cfg);
+    let mut total = RoundOutput::default();
     for cfd in cfds {
-        let out = run_single_cfd(partition, cfd, strategy, cfg, &ledger, &clocks, &obs);
-        for (name, vs) in out.report.per_cfd {
-            report.absorb(&name, vs);
-        }
-        paper_cost += out.paper_cost;
+        total.absorb(run_single_cfd(&run, partition, cfd, strategy));
     }
-    Detection::collect(strategy.algorithm_name(), report, paper_cost, &ledger, &clocks, &obs)
+    run.detection(strategy.algorithm_name(), total.report, total.paper_cost)
 }
 
 /// Assigns a coordinator to every pattern (None if no site holds any
@@ -651,28 +576,14 @@ mod tests {
         let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
         let cfd = parse_cfd(&s, "phi", "([cc, zip] -> [street])").unwrap();
         let simple = cfd.simplify().pop().unwrap();
-        for strategy in [
-            CoordinatorStrategy::Central,
-            CoordinatorStrategy::MinShipment,
-            CoordinatorStrategy::MinResponseTime,
-        ] {
-            let ledger = ShipmentLedger::new(3);
-            let clocks = SiteClocks::new(3);
-            let obs = RunObserver::new();
-            let out = run_single_cfd(
-                &partition,
-                &simple,
-                strategy,
-                &RunConfig::default(),
-                &ledger,
-                &clocks,
-                &obs,
-            );
+        for strategy in STRATEGIES {
+            let run = Run::new(3, RunConfig::default());
+            let out = run_single_cfd(&run, &partition, &simple, strategy);
             let (_, vs) = &out.report.per_cfd[0];
             assert_eq!(vs.tids, global.tids, "{strategy:?}");
             assert_eq!(vs.patterns, global.patterns, "{strategy:?}");
             assert!(out.paper_cost >= 0.0);
-            assert!(clocks.response_time() > 0.0);
+            assert!(run.response_time() > 0.0);
         }
     }
 
@@ -689,29 +600,11 @@ mod tests {
         let partition = HorizontalPartition::round_robin(&rel, 2).unwrap();
         let cfd = parse_cfd(&s, "phi", "([cc=44, zip] -> [street])").unwrap();
         let simple = cfd.simplify().pop().unwrap();
-        for strategy in [
-            CoordinatorStrategy::Central,
-            CoordinatorStrategy::MinShipment,
-            CoordinatorStrategy::MinResponseTime,
-        ] {
-            let ledger = ShipmentLedger::new(2);
-            let clocks = SiteClocks::new(2);
-            let obs = RunObserver::new();
-            run_single_cfd(
-                &partition,
-                &simple,
-                strategy,
-                &RunConfig::default(),
-                &ledger,
-                &clocks,
-                &obs,
-            );
-            assert!(
-                ledger.total_tuples() <= rel.len(),
-                "{strategy:?} shipped {} > {}",
-                ledger.total_tuples(),
-                rel.len()
-            );
+        for strategy in STRATEGIES {
+            let run = Run::new(2, RunConfig::default());
+            run_single_cfd(&run, &partition, &simple, strategy);
+            let shipped = run.ledger().total_tuples();
+            assert!(shipped <= rel.len(), "{strategy:?} shipped {shipped} > {}", rel.len());
         }
     }
 
@@ -726,47 +619,117 @@ mod tests {
         let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
         let cfd = parse_cfd(&s, "c", "([cc=44, zip] -> [street=a])").unwrap();
         let simple = cfd.simplify().pop().unwrap();
-        let ledger = ShipmentLedger::new(3);
-        let clocks = SiteClocks::new(3);
-        let obs = RunObserver::new();
-        let out = run_single_cfd(
-            &partition,
-            &simple,
-            CoordinatorStrategy::MinShipment,
-            &RunConfig::default(),
-            &ledger,
-            &clocks,
-            &obs,
-        );
-        assert_eq!(ledger.total_tuples(), 0);
+        let run = Run::new(3, RunConfig::default());
+        let out = run_single_cfd(&run, &partition, &simple, CoordinatorStrategy::MinShipment);
+        assert_eq!(run.ledger().total_tuples(), 0);
         // Tuple 1 (44, z2, b) violates street=a.
         let (_, vs) = &out.report.per_cfd[0];
         assert_eq!(vs.tids.len(), 1);
     }
 
-    #[test]
-    fn measured_mode_produces_positive_time() {
-        let s = schema();
-        let rel = Relation::from_rows(
-            s.clone(),
-            (0..100).map(|i| vals![44, format!("z{}", i % 10), format!("s{i}")]).collect(),
+    const STRATEGIES: [CoordinatorStrategy; 3] = [
+        CoordinatorStrategy::Central,
+        CoordinatorStrategy::MinShipment,
+        CoordinatorStrategy::MinResponseTime,
+    ];
+
+    /// `sample(n)`: cc ∈ {44, 31}, 7 zips, 5 streets, one city — many
+    /// `[cc, zip] -> [street]` conflicts.
+    fn sample(n: usize) -> Relation {
+        let schema = Schema::builder("r")
+            .attr("cc", ValueType::Int)
+            .attr("zip", ValueType::Str)
+            .attr("street", ValueType::Str)
+            .attr("city", ValueType::Str)
+            .build()
+            .unwrap();
+        Relation::from_rows(
+            schema,
+            (0..n)
+                .map(|i| {
+                    vals![
+                        if i % 3 == 0 { 44 } else { 31 },
+                        format!("z{}", i % 7),
+                        format!("s{}", i % 5),
+                        "c"
+                    ]
+                })
+                .collect(),
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn all_algorithms_agree_with_centralized() {
+        let rel = sample(60);
+        let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
+        let global = dcd_cfd::detect(&rel, &cfd);
+        assert!(!global.tids.is_empty(), "fixture should contain violations");
+        let partition = HorizontalPartition::round_robin(&rel, 4).unwrap();
+        let cfg = RunConfig::default();
+        for strategy in STRATEGIES {
+            let d = run_batch(&partition, &cfd.simplify(), strategy, &cfg);
+            assert_eq!(d.algorithm, strategy.algorithm_name());
+            assert_eq!(d.violations.all_tids(), global.tids, "{strategy:?}");
+            assert_eq!(d.violations.per_cfd[0].1.patterns, global.patterns, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn pattern_algorithms_never_ship_more_than_central() {
+        // CTRDETECT ships everything not at the single coordinator;
+        // per-pattern max-shipper coordinators can only reduce that.
+        let rel = sample(90);
+        let cfd = parse_cfd(rel.schema(), "phi", "([cc=44, zip] -> [street])").unwrap();
+        let cfd2 = parse_cfd(rel.schema(), "phi", "([cc=31, zip] -> [street])").unwrap();
+        let merged = dcd_cfd::Cfd::merge("phi", &[&cfd, &cfd2]).unwrap();
+        let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let cfg = RunConfig::default();
+        let ctr = run_batch(&partition, &merged.simplify(), CoordinatorStrategy::Central, &cfg);
+        let pats =
+            run_batch(&partition, &merged.simplify(), CoordinatorStrategy::MinShipment, &cfg);
+        assert!(pats.shipped_tuples <= ctr.shipped_tuples);
+        assert_eq!(pats.violations.all_tids(), ctr.violations.all_tids());
+    }
+
+    #[test]
+    fn detection_reports_traffic_and_time() {
+        let rel = sample(30);
+        let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
+        let partition = HorizontalPartition::round_robin(&rel, 3).unwrap();
+        let strategy = CoordinatorStrategy::MinResponseTime;
+        let d = run_batch(&partition, &cfd.simplify(), strategy, &RunConfig::default());
+        assert_eq!(d.algorithm, "PATDETECTRT");
+        assert!(d.shipped_tuples > 0);
+        assert!(d.shipped_cells >= d.shipped_tuples * 3);
+        assert!(d.control_messages > 0);
+        assert!(d.response_time > 0.0);
+        assert!(d.paper_cost >= 0.0);
+        let s = d.summary();
+        assert_eq!(s.shipped_tuples, d.shipped_tuples);
+    }
+
+    #[test]
+    fn multi_rhs_cfd_processes_all_components() {
+        let rel = sample(30);
+        let schema = rel.schema().clone();
+        let cfd = dcd_cfd::Cfd::fd("both", schema, &["cc", "zip"], &["street", "city"]).unwrap();
         let partition = HorizontalPartition::round_robin(&rel, 2).unwrap();
-        let cfd = parse_cfd(&s, "phi", "([cc, zip] -> [street])").unwrap();
-        let simple = cfd.simplify().pop().unwrap();
-        let ledger = ShipmentLedger::new(2);
-        let clocks = SiteClocks::new(2);
-        let obs = RunObserver::new();
-        run_single_cfd(
-            &partition,
-            &simple,
-            CoordinatorStrategy::MinShipment,
-            &RunConfig::measured(1.0),
-            &ledger,
-            &clocks,
-            &obs,
-        );
-        assert!(clocks.response_time() > 0.0);
+        let strategy = CoordinatorStrategy::MinShipment;
+        let d = run_batch(&partition, &cfd.simplify(), strategy, &RunConfig::default());
+        assert_eq!(d.violations.per_cfd.len(), 2); // one entry per RHS attr
+    }
+
+    #[test]
+    fn single_site_partition_ships_nothing() {
+        let rel = sample(40);
+        let cfd = parse_cfd(rel.schema(), "phi", "([cc, zip] -> [street])").unwrap();
+        let partition = HorizontalPartition::round_robin(&rel, 1).unwrap();
+        let global = dcd_cfd::detect(&rel, &cfd);
+        for strategy in STRATEGIES {
+            let d = run_batch(&partition, &cfd.simplify(), strategy, &RunConfig::default());
+            assert_eq!(d.shipped_tuples, 0, "{strategy:?}");
+            assert_eq!(d.violations.all_tids(), global.tids);
+        }
     }
 }

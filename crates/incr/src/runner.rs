@@ -1,9 +1,9 @@
 //! The distributed delta protocol: stateful incremental detection runs.
 //!
 //! A run owns the (mutating) partition, one [`ViolationIndex`] per
-//! compiled CFD at a fixed *coordinator* site, and the same two meters
-//! every batch detector carries — a [`ShipmentLedger`] and
-//! [`SiteClocks`]. Each delta batch is one protocol round:
+//! compiled CFD at a fixed *coordinator* site, and the same [`Run`]
+//! every batch detector carries — ledger, per-site clocks and
+//! observer. Each delta batch is one protocol round:
 //!
 //! 1. **Apply** — every site applies its local delta
 //!    ([`Relation::apply_delta`](dcd_relation::Relation::apply_delta)),
@@ -15,8 +15,9 @@
 //! 3. **Ship** — sites ship only `(tid, codes)` delta rows:
 //!    `arity + 2` cells per insert (the id rides as [`TID_CELLS`] code
 //!    cells) and `2` cells per delete, byte-accurate at 4 bytes/cell
-//!    via [`ShipmentLedger::charge_codes`]; receivers wait for senders
-//!    through [`SiteClocks::transfer`];
+//!    via [`ShipmentLedger::charge_codes`](dcd_dist::ShipmentLedger::charge_codes);
+//!    receivers wait for senders through
+//!    [`SiteClocks::transfer`](dcd_dist::SiteClocks::transfer);
 //! 4. **Maintain** — the coordinator updates every index (in parallel
 //!    per CFD on the pool) and re-validates only the touched keys,
 //!    charged `check_time` of the members re-examined, in CFD order.
@@ -45,20 +46,19 @@ use crate::delta::DeltaBatch;
 use crate::index::ViolationIndex;
 use dcd_cfd::{Cfd, ViolationReport};
 use dcd_core::report::Detection;
-use dcd_core::runner::{charge, RoundOutput};
-use dcd_core::{ComputeModel, MinedTableau, MiningConfig, RunConfig};
+use dcd_core::run::{PhaseClocks, Run};
+use dcd_core::runner::RoundOutput;
+use dcd_core::{MinedTableau, MiningConfig, RunConfig};
 use dcd_dist::pool::scoped_map;
 use dcd_dist::{
-    chained_holds as holds, Fragment, HorizontalPartition, ReplicatedPartition, ShipmentLedger,
-    SiteClocks, SiteId, VerticalPartition,
+    chained_holds as holds, Fragment, HorizontalPartition, ReplicatedPartition, SiteId,
+    VerticalPartition,
 };
-use dcd_obs::RunObserver;
 use dcd_relation::{
     AttrId, DeltaEffect, Dictionary, FxHashSet, Relation, RelationDelta, RelationError, Tuple,
     TupleId,
 };
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Wire cells occupied by one 8-byte tuple id in the code-shipped
 /// protocol (two `u32` cells) — re-exported from the ledger, which all
@@ -70,29 +70,6 @@ pub const ALGORITHM: &str = "INCRDETECT";
 
 /// A site's encoded wire payload: `(tid, full-width code row)` pairs.
 type CodeRows = Vec<(TupleId, Box<[u32]>)>;
-
-/// Like [`charge`], but *deferred*: runs `work`, returns the result and
-/// the seconds it should cost, without touching any clock. Used where
-/// several pool tasks produce work for the *same* site (the
-/// coordinator's per-CFD index updates): the clock is then advanced
-/// sequentially in CFD order, keeping f64 sums bit-identical across
-/// pool widths.
-fn timed<R>(
-    cfg: &RunConfig,
-    work: impl FnOnce() -> R,
-    analytic_of: impl FnOnce(&R) -> f64,
-) -> (R, f64) {
-    // dcd-lint: allow(wall-clock) — `ComputeModel::Measured` scales real
-    // elapsed time by design; `Analytic` (the deterministic default)
-    // never reads `start`.
-    let start = Instant::now();
-    let r = work();
-    let secs = match cfg.compute {
-        ComputeModel::Analytic => analytic_of(&r),
-        ComputeModel::Measured { scale } => start.elapsed().as_secs_f64() * scale,
-    };
-    (r, secs)
-}
 
 fn shared_dictionaries(fragments: &[Fragment]) -> Result<Vec<Arc<Dictionary>>, RelationError> {
     let first = &fragments[0].data;
@@ -122,7 +99,7 @@ fn shared_dictionaries(fragments: &[Fragment]) -> Result<Vec<Arc<Dictionary>>, R
 /// ships its fragment *as code rows* to the coordinator (already far
 /// cheaper than value shipping), after which [`Self::apply_batch`]
 /// maintains the violation report per delta batch. All accounting
-/// (ledger, clocks, paper cost) accumulates across the run, exactly
+/// (the [`Run`] and the paper cost) accumulates across the run, exactly
 /// like `SEQDETECT` pipelines rounds.
 #[derive(Debug)]
 pub struct IncrementalRun {
@@ -134,12 +111,9 @@ pub struct IncrementalRun {
     /// [`Self::track_mining`]); empty unless mining is tracked.
     miners: Vec<MinedTableau>,
     coordinator: SiteId,
-    ledger: ShipmentLedger,
-    clocks: SiteClocks,
-    cfg: RunConfig,
+    run: Run,
     paper_cost: f64,
     rounds: usize,
-    obs: RunObserver,
 }
 
 impl IncrementalRun {
@@ -179,29 +153,21 @@ impl IncrementalRun {
         let arity = partition.schema().arity();
         let sizes: Vec<usize> = partition.fragments().iter().map(|f| f.data.len()).collect();
         let coordinator = SiteId((0..n).max_by_key(|&i| (sizes[i], n - i)).expect("n ≥ 1") as u32);
-        let obs = RunObserver::new();
-        let ledger = ShipmentLedger::observed(n, &obs.registry);
-        let clocks = SiteClocks::new(n);
+        let run = Run::new(n, cfg);
         let mut local_secs = vec![0.0_f64; n];
 
         // Phase 1: every site scans its fragment once, encoding the
-        // (tid, codes) rows it will ship (parallel; the charge wraps
-        // the actual encode so Measured mode sees the real work).
-        let before = clocks.snapshot();
-        let encoded: Vec<(CodeRows, f64)> = scoped_map(cfg.threads, n, |i| {
-            let frag = &partition.fragments()[i];
-            if sizes[i] == 0 {
-                return (Vec::new(), 0.0);
-            }
-            charge(
-                &clocks,
-                frag.site,
-                &cfg,
-                || fragment_code_rows(&frag.data),
-                |_| cfg.cost.scan_time(sizes[i]),
-            )
+        // (tid, codes) rows it will ship (parallel).
+        let encoded: Vec<(CodeRows, f64)> = run.phase("incr:build-scan", |clk| {
+            scoped_map(cfg.threads, n, |i| {
+                let frag = &partition.fragments()[i];
+                if sizes[i] == 0 {
+                    return (Vec::new(), 0.0);
+                }
+                let rows = fragment_code_rows(&frag.data);
+                (rows, clk.charge(frag.site, cfg.cost.scan_time(sizes[i])))
+            })
         });
-        obs.span_sites("incr:build-scan", &before, &clocks.snapshot());
         let mut rows: CodeRows = Vec::with_capacity(sizes.iter().sum());
         for (i, (site_rows, secs)) in encoded.into_iter().enumerate() {
             local_secs[i] += secs;
@@ -211,36 +177,27 @@ impl IncrementalRun {
         // Phase 2: code rows travel to the coordinator — except from
         // fragments it already holds a replica of.
         let mut matrix = vec![vec![0usize; n]; n];
-        for (i, frag) in partition.fragments().iter().enumerate() {
-            if sizes[i] == 0 || holds(n, factor, coordinator.index(), i) {
-                continue;
+        run.phase("incr:build-ship", |clk| {
+            for (i, frag) in partition.fragments().iter().enumerate() {
+                if sizes[i] == 0 || holds(n, factor, coordinator.index(), i) {
+                    continue;
+                }
+                let cells = sizes[i] * (arity + TID_CELLS);
+                run.ledger().charge_codes(coordinator, frag.site, sizes[i], cells);
+                matrix[coordinator.index()][i] = sizes[i];
             }
-            ledger.charge_codes(coordinator, frag.site, sizes[i], sizes[i] * (arity + TID_CELLS));
-            matrix[coordinator.index()][i] = sizes[i];
-        }
-        let before = clocks.snapshot();
-        clocks.transfer(&matrix, &cfg.cost);
-        obs.span_sites("incr:build-ship", &before, &clocks.snapshot());
+            clk.transfer(&matrix);
+        });
 
         // Phase 3: index build at the coordinator, in parallel per CFD,
         // charged in CFD order.
         let cfds: Vec<_> = sigma.iter().flat_map(Cfd::simplify).collect();
         let mut indices: Vec<ViolationIndex> =
             cfds.into_iter().map(|cfd| ViolationIndex::new(cfd, &dicts)).collect();
-        let built: Vec<Mutex<&mut ViolationIndex>> = indices.iter_mut().map(Mutex::new).collect();
-        let before = clocks.snapshot();
-        let per_cfd = scoped_map(cfg.threads, built.len(), |c| {
-            let mut idx = built[c].lock().expect("index slot poisoned");
-            timed(&cfg, || idx.apply(&[], &rows), |&touched| cfg.cost.check_time(touched))
+        let coord_secs = &mut local_secs[coordinator.index()];
+        run.phase("incr:build-index", |clk| {
+            maintain(&run, clk, coordinator, &mut indices, &[], &rows, coord_secs)
         });
-        let mut revalidated = 0u64;
-        for (touched, secs) in per_cfd {
-            revalidated += touched as u64;
-            clocks.advance(coordinator, secs);
-            local_secs[coordinator.index()] += secs;
-        }
-        obs.span_sites("incr:build-index", &before, &clocks.snapshot());
-        revalidated_counter(&obs).inc(revalidated);
 
         let paper_cost = cfg.cost.paper_cost(&matrix, &local_secs);
         Ok(IncrementalRun {
@@ -249,12 +206,9 @@ impl IncrementalRun {
             indices,
             miners: Vec::new(),
             coordinator,
-            ledger,
-            clocks,
-            cfg,
+            run,
             paper_cost,
             rounds: 0,
-            obs,
         })
     }
 
@@ -301,51 +255,43 @@ impl IncrementalRun {
             }
         }
         self.rounds += 1;
-        let cfg = self.cfg;
+        let cfg = *self.run.cfg();
         let arity = self.partition.schema().arity();
         let coordinator = self.coordinator;
         let factor = self.factor;
         let mut local_secs = vec![0.0_f64; n];
-        let round_start = self.clocks.response_time();
+        let round_start = self.run.response_time();
         let ops: usize = batch.per_site.iter().map(|d| d.n_ops()).sum();
-        self.obs
-            .registry
+        self.run
+            .registry()
             .counter("dcd_incr_deltas_applied_total", "Delta operations applied across sites", &[])
             .inc(ops as u64);
 
         // Phase 1: apply at every site, in parallel (one task per
         // site; each task owns its fragment through the mutex).
-        let before = self.clocks.snapshot();
-        let outcomes: Vec<Result<(DeltaEffect, f64), RelationError>> = {
-            let clocks = &self.clocks;
-            let tasks: Vec<Mutex<(&mut Fragment, &RelationDelta)>> = self
-                .partition
-                .fragments_mut()
-                .iter_mut()
-                .zip(&batch.per_site)
-                .map(Mutex::new)
-                .collect();
-            scoped_map(cfg.threads, n, |i| {
-                let mut slot = tasks[i].lock().expect("apply slot poisoned");
-                let (frag, delta) = &mut *slot;
-                if delta.is_empty() {
-                    return Ok((DeltaEffect::default(), 0.0));
-                }
-                // apply_delta scans the fragment once (delete lookup
-                // and insert-id uniqueness) plus per-op interning.
-                let scan_rows = frag.data.len() + delta.n_ops();
-                let site = frag.site;
-                let (result, secs) = charge(
-                    clocks,
-                    site,
-                    &cfg,
-                    || frag.data.apply_delta(delta),
-                    |_| cfg.cost.scan_time(scan_rows),
-                );
-                result.map(|e| (e, secs))
-            })
-        };
-        self.obs.span_sites("incr:apply", &before, &self.clocks.snapshot());
+        let outcomes: Vec<Result<(DeltaEffect, f64), RelationError>> =
+            self.run.phase("incr:apply", |clk| {
+                let tasks: Vec<Mutex<(&mut Fragment, &RelationDelta)>> = self
+                    .partition
+                    .fragments_mut()
+                    .iter_mut()
+                    .zip(&batch.per_site)
+                    .map(Mutex::new)
+                    .collect();
+                scoped_map(cfg.threads, n, |i| {
+                    let mut slot = tasks[i].lock().expect("apply slot poisoned");
+                    let (frag, delta) = &mut *slot;
+                    if delta.is_empty() {
+                        return Ok((DeltaEffect::default(), 0.0));
+                    }
+                    // apply_delta scans the fragment once (delete lookup
+                    // and insert-id uniqueness) plus per-op interning.
+                    let scan_rows = frag.data.len() + delta.n_ops();
+                    let applied = frag.data.apply_delta(delta);
+                    let secs = clk.charge(frag.site, cfg.cost.scan_time(scan_rows));
+                    applied.map(|e| (e, secs))
+                })
+            });
         let mut effects: Vec<DeltaEffect> = Vec::with_capacity(n);
         for (i, outcome) in outcomes.into_iter().enumerate() {
             let (effect, secs) = outcome?;
@@ -356,49 +302,50 @@ impl IncrementalRun {
         // Phase 2: delta manifests (one control message per
         // participating non-coordinator site).
         let k = self.indices.len();
-        let before = self.clocks.snapshot();
-        for (i, effect) in effects.iter().enumerate() {
-            if effect.is_empty() || i == coordinator.index() {
-                continue;
+        self.run.phase("incr:manifest", |clk| {
+            for (i, effect) in effects.iter().enumerate() {
+                if effect.is_empty() || i == coordinator.index() {
+                    continue;
+                }
+                self.run.ledger().control(coordinator, SiteId(i as u32), 8 * k);
+                clk.charge(SiteId(i as u32), cfg.cost.control_time(1));
             }
-            self.ledger.control(coordinator, SiteId(i as u32), 8 * k);
-            self.clocks.advance(SiteId(i as u32), cfg.cost.control_time(1));
-        }
-        self.obs.span_sites("incr:manifest", &before, &self.clocks.snapshot());
+        });
 
         // Phase 3: ship (tid, codes) delta rows — to the other replica
         // holders (synchronization) and to the coordinator unless it
         // holds a replica of the origin fragment.
         let mut matrix = vec![vec![0usize; n]; n];
-        for (i, effect) in effects.iter().enumerate() {
-            if effect.is_empty() {
-                continue;
-            }
-            let rows = effect.n_rows();
-            let cells =
-                effect.inserted.len() * (arity + TID_CELLS) + effect.deleted.len() * TID_CELLS;
-            let from = SiteId(i as u32);
-            for (h, row) in matrix.iter_mut().enumerate() {
-                if h != i && holds(n, factor, h, i) {
-                    self.ledger.charge_codes(SiteId(h as u32), from, rows, cells);
-                    row[i] += rows;
+        self.run.phase("incr:ship", |clk| {
+            let ledger = self.run.ledger();
+            for (i, effect) in effects.iter().enumerate() {
+                if effect.is_empty() {
+                    continue;
+                }
+                let rows = effect.n_rows();
+                let cells =
+                    effect.inserted.len() * (arity + TID_CELLS) + effect.deleted.len() * TID_CELLS;
+                let from = SiteId(i as u32);
+                for (h, row) in matrix.iter_mut().enumerate() {
+                    if h != i && holds(n, factor, h, i) {
+                        ledger.charge_codes(SiteId(h as u32), from, rows, cells);
+                        row[i] += rows;
+                    }
+                }
+                if !holds(n, factor, coordinator.index(), i) {
+                    ledger.charge_codes(coordinator, from, rows, cells);
+                    matrix[coordinator.index()][i] += rows;
                 }
             }
-            if !holds(n, factor, coordinator.index(), i) {
-                self.ledger.charge_codes(coordinator, from, rows, cells);
-                matrix[coordinator.index()][i] += rows;
-            }
-        }
-        let before = self.clocks.snapshot();
-        self.clocks.transfer(&matrix, &cfg.cost);
-        self.obs.span_sites("incr:ship", &before, &self.clocks.snapshot());
+            clk.transfer(&matrix);
+        });
 
         // Mined-tableau maintenance: each site adjusts its tracked
         // support counts from its own effect — `rows × masks` key
         // updates instead of the `fragment × masks` scan a re-mine
         // costs. Site order, then miner order, keeps the f64 sums
         // deterministic.
-        if !self.miners.is_empty() {
+        self.run.phase("incr:mine", |clk| {
             for (i, effect) in effects.iter().enumerate() {
                 if effect.is_empty() {
                     continue;
@@ -406,11 +353,10 @@ impl IncrementalRun {
                 for miner in &mut self.miners {
                     let secs = cfg.cost.scan_time(effect.n_rows()) * miner.n_masks() as f64;
                     miner.apply_site_effect(i, effect);
-                    self.clocks.advance(SiteId(i as u32), secs);
-                    local_secs[i] += secs;
+                    local_secs[i] += clk.charge(SiteId(i as u32), secs);
                 }
             }
-        }
+        });
 
         // Phase 4: index maintenance at the coordinator (parallel per
         // CFD, charged in CFD order).
@@ -418,22 +364,11 @@ impl IncrementalRun {
             effects.iter().flat_map(|e| e.deleted.iter().map(|&(t, _)| t)).collect();
         let inserts: Vec<(TupleId, Box<[u32]>)> =
             effects.into_iter().flat_map(|e| e.inserted).collect();
-        let updated: Vec<Mutex<&mut ViolationIndex>> =
-            self.indices.iter_mut().map(Mutex::new).collect();
-        let before = self.clocks.snapshot();
-        let per_cfd = scoped_map(cfg.threads, updated.len(), |c| {
-            let mut idx = updated[c].lock().expect("index slot poisoned");
-            timed(&cfg, || idx.apply(&deletes, &inserts), |&touched| cfg.cost.check_time(touched))
+        let coord_secs = &mut local_secs[coordinator.index()];
+        self.run.phase("incr:maintain", |clk| {
+            maintain(&self.run, clk, coordinator, &mut self.indices, &deletes, &inserts, coord_secs)
         });
-        let mut revalidated = 0u64;
-        for (touched, secs) in per_cfd {
-            revalidated += touched as u64;
-            self.clocks.advance(coordinator, secs);
-            local_secs[coordinator.index()] += secs;
-        }
-        self.obs.span_sites("incr:maintain", &before, &self.clocks.snapshot());
-        revalidated_counter(&self.obs).inc(revalidated);
-        observe_lag(&self.obs, round_start, self.clocks.response_time());
+        observe_lag(&self.run, round_start);
 
         let round_cost = cfg.cost.paper_cost(&matrix, &local_secs);
         self.paper_cost += round_cost;
@@ -449,7 +384,7 @@ impl IncrementalRun {
     /// A [`Detection`] snapshot of the whole run so far: the live
     /// report plus the accumulated traffic, clocks and paper cost.
     pub fn detection(&self) -> Detection {
-        snapshot_detection(&self.indices, &self.ledger, &self.clocks, self.paper_cost, &self.obs)
+        self.run.detection(ALGORITHM, self.report(), self.paper_cost)
     }
 
     /// The materialized partition (fragments mutate as batches apply).
@@ -486,19 +421,22 @@ impl IncrementalRun {
     /// `rows × masks` key updates instead of a re-mine. Returns a
     /// handle for [`Self::mined_cfd`].
     pub fn track_mining(&mut self, cfd: &dcd_cfd::SimpleCfd, config: &MiningConfig) -> usize {
-        let mut miner = MinedTableau::build(&self.partition, cfd, config);
-        miner.set_counter(self.obs.registry.counter(
-            "dcd_mining_mask_updates_total",
-            "Per-mask support-count updates applied by incremental mining maintenance",
-            &[],
-        ));
-        for (i, frag) in self.partition.fragments().iter().enumerate() {
-            let n = frag.data.len();
-            if n > 0 {
-                let secs = self.cfg.cost.scan_time(n) * miner.n_masks() as f64;
-                self.clocks.advance(SiteId(i as u32), secs);
+        let miner = self.run.phase("incr:mine-build", |clk| {
+            let mut miner = MinedTableau::build(&self.partition, cfd, config);
+            miner.set_counter(self.run.registry().counter(
+                "dcd_mining_mask_updates_total",
+                "Per-mask support-count updates applied by incremental mining maintenance",
+                &[],
+            ));
+            let cost = &self.run.cfg().cost;
+            for (i, frag) in self.partition.fragments().iter().enumerate() {
+                let n = frag.data.len();
+                if n > 0 {
+                    clk.charge(SiteId(i as u32), cost.scan_time(n) * miner.n_masks() as f64);
+                }
             }
-        }
+            miner
+        });
         self.miners.push(miner);
         self.miners.len() - 1
     }
@@ -532,39 +470,48 @@ fn current_report(indices: &[ViolationIndex]) -> ViolationReport {
     report
 }
 
-/// A [`Detection`] snapshot of a whole incremental run so far (shared
-/// by both run types).
-fn snapshot_detection(
-    indices: &[ViolationIndex],
-    ledger: &ShipmentLedger,
-    clocks: &SiteClocks,
-    paper_cost: f64,
-    obs: &RunObserver,
-) -> Detection {
-    Detection::collect(ALGORITHM, current_report(indices), paper_cost, ledger, clocks, obs)
-}
-
-/// The run's index-maintenance counter (register-or-get).
-fn revalidated_counter(obs: &RunObserver) -> dcd_obs::Counter {
-    obs.registry.counter(
-        "dcd_incr_keys_revalidated_total",
-        "Index members re-examined during incremental maintenance",
-        &[],
-    )
+/// Applies `deletes` and `inserts` to every index — one pool task per
+/// CFD — and charges the coordinator `check_time` of each index's
+/// re-examined members in CFD order, so its clock and `local_secs` see
+/// the same f64 additions for every pool width (shared by both run
+/// types' build and maintenance phases).
+fn maintain(
+    run: &Run,
+    clk: &PhaseClocks<'_>,
+    coordinator: SiteId,
+    indices: &mut [ViolationIndex],
+    deletes: &[TupleId],
+    inserts: &[(TupleId, Box<[u32]>)],
+    local_secs: &mut f64,
+) {
+    let slots: Vec<Mutex<&mut ViolationIndex>> = indices.iter_mut().map(Mutex::new).collect();
+    let touched = scoped_map(run.cfg().threads, slots.len(), |c| {
+        slots[c].lock().expect("index slot poisoned").apply(deletes, inserts)
+    });
+    for &t in &touched {
+        *local_secs += clk.charge(coordinator, run.cfg().cost.check_time(t));
+    }
+    run.registry()
+        .counter(
+            "dcd_incr_keys_revalidated_total",
+            "Index members re-examined during incremental maintenance",
+            &[],
+        )
+        .inc(touched.iter().map(|&t| t as u64).sum());
 }
 
 /// Records one batch's delta lag — simulated seconds from round start
-/// to completion — into the run's lag histogram (integer microseconds,
-/// so merges stay order-free).
-fn observe_lag(obs: &RunObserver, start: f64, end: f64) {
-    obs.registry
+/// to now — into the run's lag histogram (integer microseconds, so
+/// merges stay order-free).
+fn observe_lag(run: &Run, start: f64) {
+    run.registry()
         .histogram(
             "dcd_incr_delta_lag_micros",
             "Simulated delta lag per batch, in microseconds",
             &[],
             &[10, 100, 1_000, 10_000, 100_000, 1_000_000],
         )
-        .observe(((end - start) * 1e6) as u64);
+        .observe(((run.response_time() - start) * 1e6) as u64);
 }
 
 /// A stateful incremental run over a *vertical* partition.
@@ -587,12 +534,9 @@ pub struct VerticalIncrementalRun {
     owned_count: Vec<usize>,
     indices: Vec<ViolationIndex>,
     coordinator: SiteId,
-    ledger: ShipmentLedger,
-    clocks: SiteClocks,
-    cfg: RunConfig,
+    run: Run,
     paper_cost: f64,
     rounds: usize,
-    obs: RunObserver,
 }
 
 impl VerticalIncrementalRun {
@@ -624,34 +568,24 @@ impl VerticalIncrementalRun {
             .iter()
             .map(|&(f, local)| partition.fragments()[f].data.dictionary(local).clone())
             .collect();
-        let obs = RunObserver::new();
-        let ledger = ShipmentLedger::observed(n, &obs.registry);
-        let clocks = SiteClocks::new(n);
+        let run = Run::new(n, cfg);
         let mut local_secs = vec![0.0_f64; n];
         let n_rows = partition.fragments()[0].data.len();
 
         // Per-site encode scan: each fragment materializes its local
-        // code rows — its wire payload — inside the charge, so
-        // Measured mode sees the real work.
-        let before = clocks.snapshot();
-        let encoded: Vec<(Vec<Box<[u32]>>, f64)> = scoped_map(cfg.threads, n, |f| {
-            let data = &partition.fragments()[f].data;
-            if data.is_empty() {
-                return (Vec::new(), 0.0);
-            }
-            charge(
-                &clocks,
-                SiteId(f as u32),
-                &cfg,
-                || {
-                    (0..data.len())
-                        .map(|r| data.columns().iter().map(|c| c.codes()[r]).collect())
-                        .collect()
-                },
-                |_| cfg.cost.scan_time(data.len()),
-            )
+        // code rows — its wire payload.
+        let encoded: Vec<(Vec<Box<[u32]>>, f64)> = run.phase("incr:build-scan", |clk| {
+            scoped_map(cfg.threads, n, |f| {
+                let data = &partition.fragments()[f].data;
+                if data.is_empty() {
+                    return (Vec::new(), 0.0);
+                }
+                let rows: Vec<Box<[u32]>> = (0..data.len())
+                    .map(|r| data.columns().iter().map(|c| c.codes()[r]).collect())
+                    .collect();
+                (rows, clk.charge(SiteId(f as u32), cfg.cost.scan_time(data.len())))
+            })
         });
-        obs.span_sites("incr:build-scan", &before, &clocks.snapshot());
         let mut site_rows: Vec<Vec<Box<[u32]>>> = Vec::with_capacity(n);
         for (f, (rows, secs)) in encoded.into_iter().enumerate() {
             local_secs[f] += secs;
@@ -660,21 +594,17 @@ impl VerticalIncrementalRun {
 
         // Owned columns travel to the coordinator.
         let mut matrix = vec![vec![0usize; n]; n];
-        for f in 0..n {
-            if f == coordinator.index() || n_rows == 0 || owned_count[f] == 0 {
-                continue;
+        run.phase("incr:build-ship", |clk| {
+            for f in 0..n {
+                if f == coordinator.index() || n_rows == 0 || owned_count[f] == 0 {
+                    continue;
+                }
+                let cells = n_rows * (owned_count[f] + TID_CELLS);
+                run.ledger().charge_codes(coordinator, SiteId(f as u32), n_rows, cells);
+                matrix[coordinator.index()][f] = n_rows;
             }
-            ledger.charge_codes(
-                coordinator,
-                SiteId(f as u32),
-                n_rows,
-                n_rows * (owned_count[f] + TID_CELLS),
-            );
-            matrix[coordinator.index()][f] = n_rows;
-        }
-        let before = clocks.snapshot();
-        clocks.transfer(&matrix, &cfg.cost);
-        obs.span_sites("incr:build-ship", &before, &clocks.snapshot());
+            clk.transfer(&matrix);
+        });
 
         // Assemble full code rows by row alignment (each attribute read
         // from its owner's encoded payload) and build indices.
@@ -689,20 +619,10 @@ impl VerticalIncrementalRun {
         let cfds: Vec<_> = sigma.iter().flat_map(Cfd::simplify).collect();
         let mut indices: Vec<ViolationIndex> =
             cfds.into_iter().map(|cfd| ViolationIndex::new(cfd, &dicts)).collect();
-        let built: Vec<Mutex<&mut ViolationIndex>> = indices.iter_mut().map(Mutex::new).collect();
-        let before = clocks.snapshot();
-        let per_cfd = scoped_map(cfg.threads, built.len(), |c| {
-            let mut idx = built[c].lock().expect("index slot poisoned");
-            timed(&cfg, || idx.apply(&[], &rows), |&touched| cfg.cost.check_time(touched))
+        let coord_secs = &mut local_secs[coordinator.index()];
+        run.phase("incr:build-index", |clk| {
+            maintain(&run, clk, coordinator, &mut indices, &[], &rows, coord_secs)
         });
-        let mut revalidated = 0u64;
-        for (touched, secs) in per_cfd {
-            revalidated += touched as u64;
-            clocks.advance(coordinator, secs);
-            local_secs[coordinator.index()] += secs;
-        }
-        obs.span_sites("incr:build-index", &before, &clocks.snapshot());
-        revalidated_counter(&obs).inc(revalidated);
 
         let paper_cost = cfg.cost.paper_cost(&matrix, &local_secs);
         Ok(VerticalIncrementalRun {
@@ -711,12 +631,9 @@ impl VerticalIncrementalRun {
             owned_count,
             indices,
             coordinator,
-            ledger,
-            clocks,
-            cfg,
+            run,
             paper_cost,
             rounds: 0,
-            obs,
         })
     }
 
@@ -727,50 +644,42 @@ impl VerticalIncrementalRun {
     pub fn apply_batch(&mut self, delta: &RelationDelta) -> Result<RoundOutput, RelationError> {
         let n = self.partition.n_sites();
         self.rounds += 1;
-        let cfg = self.cfg;
+        let cfg = *self.run.cfg();
         let coordinator = self.coordinator;
         let mut local_secs = vec![0.0_f64; n];
         if delta.is_empty() {
             return Ok(RoundOutput { report: self.report(), paper_cost: 0.0 });
         }
-        let round_start = self.clocks.response_time();
-        self.obs
-            .registry
+        let round_start = self.run.response_time();
+        self.run
+            .registry()
             .counter("dcd_incr_deltas_applied_total", "Delta operations applied across sites", &[])
             .inc(delta.n_ops() as u64);
 
         // Phase 1: every site applies its projection of the delta.
-        let before = self.clocks.snapshot();
-        let outcomes: Vec<Result<(DeltaEffect, f64), RelationError>> = {
-            let clocks = &self.clocks;
-            let tasks: Vec<Mutex<&mut dcd_dist::VFragment>> =
-                self.partition.fragments_mut().iter_mut().map(Mutex::new).collect();
-            scoped_map(cfg.threads, n, |f| {
-                let mut slot = tasks[f].lock().expect("apply slot poisoned");
-                let frag = &mut *slot;
-                let projected = RelationDelta::new(
-                    delta
-                        .inserts
-                        .iter()
-                        .map(|t| Tuple::new(t.tid, t.project(&frag.attrs)))
-                        .collect(),
-                    delta.deletes.clone(),
-                );
-                // apply_delta scans the fragment once (delete lookup
-                // and insert-id uniqueness) plus per-op interning.
-                let scan_rows = frag.data.len() + projected.n_ops();
-                let site = frag.site;
-                let (result, secs) = charge(
-                    clocks,
-                    site,
-                    &cfg,
-                    || frag.data.apply_delta(&projected),
-                    |_| cfg.cost.scan_time(scan_rows),
-                );
-                result.map(|e| (e, secs))
-            })
-        };
-        self.obs.span_sites("incr:apply", &before, &self.clocks.snapshot());
+        let outcomes: Vec<Result<(DeltaEffect, f64), RelationError>> =
+            self.run.phase("incr:apply", |clk| {
+                let tasks: Vec<Mutex<&mut dcd_dist::VFragment>> =
+                    self.partition.fragments_mut().iter_mut().map(Mutex::new).collect();
+                scoped_map(cfg.threads, n, |f| {
+                    let mut slot = tasks[f].lock().expect("apply slot poisoned");
+                    let frag = &mut *slot;
+                    let projected = RelationDelta::new(
+                        delta
+                            .inserts
+                            .iter()
+                            .map(|t| Tuple::new(t.tid, t.project(&frag.attrs)))
+                            .collect(),
+                        delta.deletes.clone(),
+                    );
+                    // apply_delta scans the fragment once (delete lookup
+                    // and insert-id uniqueness) plus per-op interning.
+                    let scan_rows = frag.data.len() + projected.n_ops();
+                    let applied = frag.data.apply_delta(&projected);
+                    let secs = clk.charge(frag.site, cfg.cost.scan_time(scan_rows));
+                    applied.map(|e| (e, secs))
+                })
+            });
         let mut effects: Vec<DeltaEffect> = Vec::with_capacity(n);
         for (f, outcome) in outcomes.into_iter().enumerate() {
             let (effect, secs) = outcome?;
@@ -779,27 +688,29 @@ impl VerticalIncrementalRun {
         }
 
         // Phase 2 + 3: manifests and owned-column shipment for the
-        // inserted rows (delete ids are already part of the feed).
+        // inserted rows (delete ids are already part of the feed), from
+        // every non-coordinator site owning attributes.
         let k = self.indices.len();
         let n_inserts = delta.inserts.len();
-        let mut matrix = vec![vec![0usize; n]; n];
-        for (f, &owned) in self.owned_count.iter().enumerate() {
-            if f == coordinator.index() || n_inserts == 0 || owned == 0 {
-                continue;
+        let senders: Vec<(SiteId, usize)> = (0..n)
+            .filter(|&f| f != coordinator.index() && n_inserts > 0 && self.owned_count[f] > 0)
+            .map(|f| (SiteId(f as u32), self.owned_count[f]))
+            .collect();
+        self.run.phase("incr:manifest", |clk| {
+            for &(site, _) in &senders {
+                self.run.ledger().control(coordinator, site, 8 * k);
+                clk.charge(site, cfg.cost.control_time(1));
             }
-            self.ledger.control(coordinator, SiteId(f as u32), 8 * k);
-            self.clocks.advance(SiteId(f as u32), cfg.cost.control_time(1));
-            self.ledger.charge_codes(
-                coordinator,
-                SiteId(f as u32),
-                n_inserts,
-                n_inserts * (owned + TID_CELLS),
-            );
-            matrix[coordinator.index()][f] = n_inserts;
-        }
-        let before = self.clocks.snapshot();
-        self.clocks.transfer(&matrix, &cfg.cost);
-        self.obs.span_sites("incr:ship", &before, &self.clocks.snapshot());
+        });
+        let mut matrix = vec![vec![0usize; n]; n];
+        self.run.phase("incr:ship", |clk| {
+            for &(site, owned) in &senders {
+                let cells = n_inserts * (owned + TID_CELLS);
+                self.run.ledger().charge_codes(coordinator, site, n_inserts, cells);
+                matrix[coordinator.index()][site.index()] = n_inserts;
+            }
+            clk.transfer(&matrix);
+        });
 
         // Phase 4: assemble full insert rows from the per-site effects
         // (rows align across fragments — same deletes, same insert
@@ -818,23 +729,12 @@ impl VerticalIncrementalRun {
                 (tid, codes)
             })
             .collect();
-        let deletes = delta.deletes.clone();
-        let updated: Vec<Mutex<&mut ViolationIndex>> =
-            self.indices.iter_mut().map(Mutex::new).collect();
-        let before = self.clocks.snapshot();
-        let per_cfd = scoped_map(cfg.threads, updated.len(), |c| {
-            let mut idx = updated[c].lock().expect("index slot poisoned");
-            timed(&cfg, || idx.apply(&deletes, &inserts), |&touched| cfg.cost.check_time(touched))
+        let coord_secs = &mut local_secs[coordinator.index()];
+        self.run.phase("incr:maintain", |clk| {
+            let (run, indices) = (&self.run, &mut self.indices);
+            maintain(run, clk, coordinator, indices, &delta.deletes, &inserts, coord_secs)
         });
-        let mut revalidated = 0u64;
-        for (touched, secs) in per_cfd {
-            revalidated += touched as u64;
-            self.clocks.advance(coordinator, secs);
-            local_secs[coordinator.index()] += secs;
-        }
-        self.obs.span_sites("incr:maintain", &before, &self.clocks.snapshot());
-        revalidated_counter(&self.obs).inc(revalidated);
-        observe_lag(&self.obs, round_start, self.clocks.response_time());
+        observe_lag(&self.run, round_start);
 
         let round_cost = cfg.cost.paper_cost(&matrix, &local_secs);
         self.paper_cost += round_cost;
@@ -848,7 +748,7 @@ impl VerticalIncrementalRun {
 
     /// A [`Detection`] snapshot of the whole run so far.
     pub fn detection(&self) -> Detection {
-        snapshot_detection(&self.indices, &self.ledger, &self.clocks, self.paper_cost, &self.obs)
+        self.run.detection(ALGORITHM, self.report(), self.paper_cost)
     }
 
     /// The materialized vertical partition.

@@ -1,7 +1,7 @@
 //! The flow-aware rule families — the rules that need the workspace
 //! symbol graph ([`crate::graph::WorkspaceFacts`]), not just a token
-//! window: `unledgered-shipment`, `unobserved-phase`,
-//! `exhaustive-dispatch` and `crate-layering`.
+//! window: `unledgered-shipment`, `exhaustive-dispatch` and
+//! `crate-layering`.
 
 use crate::diag::Diagnostic;
 use crate::graph::{WorkspaceFacts, CHARGE_FNS, WIRE_BUILDERS};
@@ -14,11 +14,11 @@ use crate::source::{FileClass, SourceFile};
 /// from the table (the root package, `dcd_lint` itself, future service
 /// crates) are unconstrained.
 const LAYERS: [(&str, &[&str]); 9] = [
-    ("dcd_relation", &["serde", "serde_derive"]),
+    ("dcd_relation", &[]),
     ("dcd_obs", &[]),
-    ("dcd_cfd", &["dcd_relation", "dcd_obs", "serde", "serde_derive"]),
+    ("dcd_cfd", &["dcd_relation", "dcd_obs"]),
     ("dcd_dist", &["dcd_relation", "dcd_obs"]),
-    ("dcd_core", &["dcd_relation", "dcd_obs", "dcd_cfd", "dcd_dist", "serde", "serde_derive"]),
+    ("dcd_core", &["dcd_relation", "dcd_obs", "dcd_cfd", "dcd_dist"]),
     ("dcd_incr", &["dcd_relation", "dcd_obs", "dcd_cfd", "dcd_dist", "dcd_core"]),
     ("dcd_vertical", &["dcd_relation", "dcd_obs", "dcd_cfd", "dcd_dist", "dcd_core"]),
     ("dcd_complexity", &["dcd_relation", "dcd_cfd", "dcd_dist"]),
@@ -29,7 +29,6 @@ const LAYERS: [(&str, &[&str]); 9] = [
 /// are parallel.
 pub fn check_flows(files: &[SourceFile], facts: &WorkspaceFacts, out: &mut Vec<Diagnostic>) {
     unledgered_shipment(files, facts, out);
-    unobserved_phase(files, facts, out);
     for file in files {
         exhaustive_dispatch(file, out);
     }
@@ -76,150 +75,6 @@ fn unledgered_shipment(files: &[SourceFile], facts: &WorkspaceFacts, out: &mut V
                 CHARGE_FNS.join("/"),
             ),
         ));
-    }
-}
-
-// ------------------------------------------------------ unobserved-phase
-
-/// `unobserved-phase`, part (a): a public engine function returning a
-/// `Detection` must thread a `RunObserver` (construct one, take one as
-/// a parameter, or delegate to another `Detection`-returning engine
-/// function), and part (b): every `let <name> = clocks.snapshot()`
-/// phase open must be consumed by a `span`/`span_sites` call before the
-/// name is shadowed or the body ends — a snapshot that never reaches a
-/// span is a phase the run trace silently lost.
-fn unobserved_phase(files: &[SourceFile], facts: &WorkspaceFacts, out: &mut Vec<Diagnostic>) {
-    for (fi, file) in files.iter().enumerate() {
-        if file.class != FileClass::Engine {
-            continue;
-        }
-        for f in &facts.items[fi].fns {
-            if file.in_test_code(f.line) {
-                continue;
-            }
-            let body_end = f.body.map_or(f.sig.1, |(_, close)| close);
-
-            // (a) entry-point observer threading.
-            if f.is_pub && f.returns("Detection") {
-                let observed = (f.sig.0..=body_end)
-                    .any(|w| matches!(file.text(w), "RunObserver" | "obs" | "observer"));
-                let delegates = f.calls.iter().any(|c| {
-                    facts.detection_fns.contains(&c.name)
-                        && (c.name.starts_with("run") || c.name == "detection")
-                });
-                if !observed && !delegates {
-                    out.push(diag(
-                        file,
-                        f.line,
-                        1,
-                        "unobserved-phase",
-                        format!(
-                            "`{}` is a public engine entry point returning a `Detection` \
-                             but never threads a `RunObserver`; construct one (and build \
-                             the ledger with `ShipmentLedger::observed`) or delegate to an \
-                             engine fn that does, so the run trace covers every phase",
-                            f.name
-                        ),
-                    ));
-                }
-            }
-
-            // (b) snapshot/span pairing inside the body.
-            let Some((open, close)) = f.body else { continue };
-            let mut w = open;
-            while w < close {
-                // Plain `let` bindings only: `if let`/`while let` are
-                // pattern matches, not phase opens.
-                if file.text(w) != "let" || matches!(file.text(w.wrapping_sub(1)), "if" | "while") {
-                    w += 1;
-                    continue;
-                }
-                let mut j = w + 1;
-                if file.text(j) == "mut" {
-                    j += 1;
-                }
-                let name = file.text(j).to_string();
-                // A lowercase identifier — `let Some(x)` destructures.
-                if !name.chars().next().is_some_and(|c| c.is_lowercase() || c == '_') {
-                    w += 1;
-                    continue;
-                }
-                // Statement end: the `;` at this let's depth.
-                let d = file.depth[w];
-                let mut semi = j;
-                while semi < close && !(file.text(semi) == ";" && file.depth[semi] <= d) {
-                    semi += 1;
-                }
-                // Is the initializer a clock snapshot? (`clocks.snapshot()`
-                // or `self.clocks.snapshot()` — other `.snapshot()`
-                // receivers, e.g. the metrics registry, are not phases.)
-                let is_clock_snap = (j..semi).any(|k| {
-                    file.text(k) == "snapshot"
-                        && file.text(k + 1) == "("
-                        && file.text(k.wrapping_sub(1)) == "."
-                        && file.text(k.wrapping_sub(2)) == "clocks"
-                });
-                if !is_clock_snap {
-                    w = semi.max(w + 1);
-                    continue;
-                }
-                // Scan to the shadow point (next `let <name>`) or body end
-                // for a span call consuming `name`.
-                let mut limit = close;
-                let mut k = semi + 1;
-                while k < close {
-                    if file.text(k) == "let" {
-                        let mut m = k + 1;
-                        if file.text(m) == "mut" {
-                            m += 1;
-                        }
-                        if file.text(m) == name {
-                            limit = k;
-                            break;
-                        }
-                    }
-                    k += 1;
-                }
-                let consumed = (semi..limit).any(|k| {
-                    if !file.text(k).contains("span") || file.text(k + 1) != "(" {
-                        return false;
-                    }
-                    // Arguments of this span call.
-                    let mut depth_p = 0i32;
-                    let mut m = k + 1;
-                    while m < limit + 64 && m < file.code.len() {
-                        match file.text(m) {
-                            "(" => depth_p += 1,
-                            ")" => {
-                                depth_p -= 1;
-                                if depth_p == 0 {
-                                    break;
-                                }
-                            }
-                            t if t == name => return true,
-                            _ => {}
-                        }
-                        m += 1;
-                    }
-                    false
-                });
-                if !consumed {
-                    let t = file.ct(w);
-                    out.push(diag(
-                        file,
-                        t.line,
-                        t.col,
-                        "unobserved-phase",
-                        format!(
-                            "phase snapshot `{name}` (`clocks.snapshot()`) is never recorded \
-                             through `RunObserver::span`/`span_sites` before it is shadowed \
-                             or dropped; every opened phase must land in the run trace"
-                        ),
-                    ));
-                }
-                w = semi.max(w + 1);
-            }
-        }
     }
 }
 

@@ -40,8 +40,6 @@ pub struct WorkspaceFacts {
     /// Function definitions by bare name (approximate resolution: a
     /// call to `name` edges to *every* definition of `name`).
     by_name: BTreeMap<String, Vec<FnId>>,
-    /// Names of functions whose return type mentions `Detection`.
-    pub detection_fns: BTreeSet<String>,
 }
 
 impl WorkspaceFacts {
@@ -54,9 +52,6 @@ impl WorkspaceFacts {
             let items = extract(file);
             for (gi, f) in items.fns.iter().enumerate() {
                 facts.by_name.entry(f.name.clone()).or_default().push((fi, gi));
-                if f.returns("Detection") {
-                    facts.detection_fns.insert(f.name.clone());
-                }
             }
             facts.classes.push(file.class);
             facts.paths.push(file.path.clone());
@@ -203,16 +198,6 @@ mod tests {
         assert!(names.contains(&"leaky"), "{names:?}");
         assert!(names.contains(&"build"), "reached through the uncharged caller: {names:?}");
         assert!(!names.contains(&"covered"), "charging fns are covered: {names:?}");
-    }
-
-    #[test]
-    fn detection_returners_are_indexed_by_name() {
-        let (_, facts) = parse(&[(
-            "crates/core/src/x.rs",
-            "pub fn run_batch() -> Detection { Detection::collect() }\nfn helper() -> u32 { 0 }\n",
-        )]);
-        assert!(facts.detection_fns.contains("run_batch"));
-        assert!(!facts.detection_fns.contains("helper"));
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub struct TypeItem {
 /// in code or in a `use` statement.
 #[derive(Debug, Clone)]
 pub struct CrateRef {
-    /// The referenced crate (`dcd_core`, `serde`, …).
+    /// The referenced crate (`dcd_core`, `rand`, …).
     pub name: String,
     /// Code-index of the reference.
     pub ci: usize,
@@ -118,7 +118,7 @@ const NON_CALL_KEYWORDS: [&str; 24] = [
 /// The vendored compat crates a workspace crate may name besides
 /// `dcd_*` (everything else — `std`, `core`, `alloc` — is outside the
 /// layering contract).
-pub const EXTERNAL_CRATES: [&str; 5] = ["serde", "serde_derive", "rand", "proptest", "criterion"];
+pub const EXTERNAL_CRATES: [&str; 3] = ["rand", "proptest", "criterion"];
 
 /// Derives `(crate, module)` display names from a workspace-relative
 /// path. `crates/core/src/runner.rs` → `("dcd_core", "dcd_core::runner")`.

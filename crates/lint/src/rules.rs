@@ -9,10 +9,8 @@
 //! | `stray-thread` | all parallelism goes through `dcd_dist::pool` |
 //! | `wall-clock` | simulated `SiteClocks` time only |
 //! | `relaxed-atomic` | audited atomic orderings, justified `unsafe` |
-//! | `deprecated-shim` | the `DetectRequest` façade is the only door |
 //! | `duplicate-detect-loop` | group validation lives in `dcd_cfd::kernel` only |
 //! | `unledgered-shipment` | every wire payload is charged to the ledger |
-//! | `unobserved-phase` | every entry point and phase lands in the run trace |
 //! | `exhaustive-dispatch` | `Topology`/`Algorithm` matches stay total |
 //! | `crate-layering` | the engine dependency DAG holds at reference level |
 //! | `unused-suppression` | allows excuse a live finding, or get deleted |
@@ -29,20 +27,18 @@ use crate::diag::Diagnostic;
 use crate::source::{FileClass, SourceFile};
 use std::collections::BTreeSet;
 
-/// All rule ids, in reporting order. The first seven are token-window
-/// rules (this module); the next four are the flow-aware families over
+/// All rule ids, in reporting order. The first six are token-window
+/// rules (this module); the next three are the flow-aware families over
 /// the workspace symbol graph ([`crate::flows`]); the last two police
 /// the suppression mechanism itself ([`crate::engine`]).
-pub const RULE_IDS: [&str; 13] = [
+pub const RULE_IDS: [&str; 11] = [
     "hash-iteration-order",
     "raw-ledger-mutation",
     "stray-thread",
     "wall-clock",
     "relaxed-atomic",
-    "deprecated-shim",
     "duplicate-detect-loop",
     "unledgered-shipment",
-    "unobserved-phase",
     "exhaustive-dispatch",
     "crate-layering",
     "unused-suppression",
@@ -77,12 +73,6 @@ pub fn describe(rule: &str) -> &'static str {
              order-free `dcd_obs` metrics registry, or an `unsafe` block without \
              a `// SAFETY:` comment"
         }
-        "deprecated-shim" => {
-            "use of the retired pre-façade surface (`detect_*` free functions, \
-             `Detector::run*`/`MultiDetector::run` method calls) — the shims are \
-             gone; new code goes through the `DetectRequest` façade or the engine \
-             fns, and this rule keeps the old names from creeping back"
-        }
         "duplicate-detect-loop" => {
             "a hand-rolled per-group tableau-validation loop outside \
              `dcd_cfd::kernel` — the group-validation semantics (distinct-RHS \
@@ -94,11 +84,6 @@ pub fn describe(rule: &str) -> &'static str {
              code-wire payloads (`code_rows`/`code_shipment`) with no \
              `ShipmentLedger` charge anywhere on the call path — every simulated \
              transfer must be accounted"
-        }
-        "unobserved-phase" => {
-            "a public engine entry point returning a `Detection` without threading \
-             a `RunObserver`, or a `clocks.snapshot()` phase open that never \
-             reaches `span`/`span_sites` — phases must land in the run trace"
         }
         "exhaustive-dispatch" => {
             "a `_` wildcard or lowercase catch-all arm in an engine `match` on \
@@ -157,8 +142,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "Engine time is simulated: `SiteClocks` advanced by the `CostModel`. \
              `Instant::now`/`SystemTime` in a detection path makes reports and \
              traces irreproducible. Only `crates/bench` and the compat stand-ins \
-             may read host time; the one engine exception (Measured compute \
-             mode) carries its own reasoned allow."
+             may read host time."
         }
         "relaxed-atomic" => {
             "`Ordering::Relaxed` is correct only where commutativity, not \
@@ -166,12 +150,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              and the obs metrics registry. Anywhere else, pick the ordering the \
              happens-before argument needs and document it. The rule also \
              requires a `// SAFETY:` comment above every `unsafe` block."
-        }
-        "deprecated-shim" => {
-            "The pre-façade entry points (`detect_*` free fns, \
-             `Detector::run*`) are retired. The façade (`DetectRequest`) and the \
-             engine fns (`run_batch`/`run_seq`/…) are the only doors; this rule \
-             keeps the old names from creeping back through habit or copy-paste."
         }
         "duplicate-detect-loop" => {
             "Group validation (distinct-RHS conflict, wildcard/constant \
@@ -192,17 +170,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              live in the builder's caller at any depth. Fix by charging in the \
              flagged function or every caller; the constructors themselves are \
              exempt by name."
-        }
-        "unobserved-phase" => {
-            "Flow rule over the symbol graph, extending the PR 9 observability \
-             contract from golden tests to static checking. (a) Every public \
-             engine fn returning a `Detection` must thread a `RunObserver` — \
-             construct one, accept one, or delegate to an engine fn that does — \
-             so no entry point produces an untraced run. (b) Every \
-             `let x = clocks.snapshot()` opens a phase; if `x` never reaches a \
-             `span`/`span_sites` call before shadowing or body end, the phase \
-             was opened and silently dropped. Fix by recording the span (or \
-             deleting a snapshot that measures nothing)."
         }
         "exhaustive-dispatch" => {
             "Topology and Algorithm are the engine's dispatch enums: every \
@@ -379,7 +346,6 @@ pub fn check_file(file: &SourceFile, facts: &HashFacts) -> Vec<Diagnostic> {
     stray_thread(file, &mut out);
     wall_clock(file, &mut out);
     relaxed_atomic(file, &mut out);
-    deprecated_shim(file, &mut out);
     duplicate_detect_loop(file, &mut out);
     bad_suppression(file, &mut out);
     out
@@ -767,59 +733,6 @@ fn relaxed_atomic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 
 // ---------------------------------------------------------------- rule 6
 
-/// `deprecated-shim`: the pre-façade entry points are *retired*, not
-/// merely deprecated — this rule is the reintroduction ratchet. The
-/// `Detector`/`MultiDetector` traits survive as identity (name +
-/// strategy), so mentioning them is fine; what must not come back are
-/// the free `detect_*` functions and the `run`/`run_simple`/
-/// `run_simples` execution methods the traits used to carry. No file
-/// is exempt: `tests/prop_facade.rs` now pins the façade against the
-/// engine fns and has no business naming the shims either.
-fn deprecated_shim(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let n = file.code.len();
-    for ci in 0..n {
-        if file.in_use_statement(ci) {
-            continue;
-        }
-        let t = file.text(ci);
-        let prev = if ci == 0 { "" } else { file.text(ci - 1) };
-        if prev == "fn" {
-            continue; // a definition, not a call
-        }
-        let flagged = match t {
-            // The retired free-function shims.
-            "detect_hybrid" | "detect_replicated" | "detect_vertical" => true,
-            // The retired trait execution methods.
-            "run_simple" | "run_simples" => file.text(ci + 1) == "(",
-            // `<DetectorType>.run(..)` method-call form.
-            "run" => {
-                file.text(ci + 1) == "("
-                    && prev == "."
-                    && matches!(
-                        file.text(ci.wrapping_sub(2)),
-                        "CtrDetect" | "PatDetectS" | "PatDetectRT" | "SeqDetect" | "ClustDetect"
-                    )
-            }
-            _ => false,
-        };
-        if flagged {
-            out.push(diag(
-                file,
-                ci,
-                "deprecated-shim",
-                format!(
-                    "`{t}` belongs to the retired pre-façade surface; build a \
-                     `DetectRequest` (or call the engine fns `run_batch`/`run_seq`/\
-                     `run_clust`/`run_hybrid`/`run_replicated`/`run_vertical`) \
-                     instead of resurrecting the shim"
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------- rule 7
-
 /// `duplicate-detect-loop`: a hand-rolled group-validation loop outside
 /// `dcd_cfd::kernel`. The workspace once carried five per-group
 /// tableau-validation loops (columnar, code-row, value-wise, per-pattern
@@ -908,7 +821,7 @@ fn duplicate_detect_loop(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------- rule 8
+// ---------------------------------------------------------------- rule 7
 
 /// `bad-suppression`: malformed `dcd-lint:` markers. Not suppressible —
 /// a suppression that cannot parse cannot excuse anything, least of all

@@ -155,33 +155,6 @@ fn relaxed_atomic_negative_allows_audited_module_and_safety_comment() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-// ------------------------------------------------------ deprecated-shim
-
-#[test]
-fn deprecated_shim_positive_flags_legacy_calls() {
-    let src = include_str!("fixtures/deprecated_shim_pos.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    assert_eq!(rules(&findings), ["deprecated-shim", "deprecated-shim"], "{findings:?}");
-    assert_eq!(findings[0].1, 2, "the `detect_hybrid` call");
-    assert_eq!(findings[1].1, 3, "the `PatDetectS.run(..)` call");
-}
-
-#[test]
-fn deprecated_shim_negative_sanctions_engines_and_facade() {
-    let src = include_str!("fixtures/deprecated_shim_neg.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    assert!(findings.is_empty(), "engine fns + identity trait stay silent: {findings:?}");
-}
-
-#[test]
-fn deprecated_shim_ratchet_covers_the_facade_suite_too() {
-    // The shims are retired; even `tests/prop_facade.rs` (their old
-    // sanctioned pinning ground) may not name them anymore.
-    let src = include_str!("fixtures/deprecated_shim_pos.rs");
-    let findings = lint("tests/prop_facade.rs", src);
-    assert_eq!(rules(&findings), ["deprecated-shim", "deprecated-shim"], "{findings:?}");
-}
-
 // ------------------------------------------------ duplicate-detect-loop
 
 #[test]
@@ -261,24 +234,6 @@ fn unledgered_shipment_ignores_test_code() {
     assert!(findings.is_empty(), "test topologies ship freely: {findings:?}");
 }
 
-// ------------------------------------------------------ unobserved-phase
-
-#[test]
-fn unobserved_phase_positive_flags_silent_entry_and_dangling_snapshot() {
-    let src = include_str!("fixtures/unobserved_phase_pos.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    assert_eq!(rules(&findings), ["unobserved-phase", "unobserved-phase"], "{findings:?}");
-    assert_eq!(findings[0].1, 6, "`run_silent` never threads an observer");
-    assert_eq!(findings[1].1, 14, "`before` is opened and never spanned");
-}
-
-#[test]
-fn unobserved_phase_negative_accepts_full_idiom_and_delegation() {
-    let src = include_str!("fixtures/unobserved_phase_neg.rs");
-    let findings = lint("crates/core/src/fixture.rs", src);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
 // --------------------------------------------------- exhaustive-dispatch
 
 #[test]
@@ -326,7 +281,7 @@ fn crate_layering_negative_accepts_owned_edges() {
 fn crate_layering_exempts_tests_and_constrains_compat() {
     let src = include_str!("fixtures/crate_layering_pos.rs");
     assert!(lint("crates/relation/tests/fixture.rs", src).is_empty(), "tests cut across layers");
-    let findings = lint("crates/compat/serde/src/fixture.rs", src);
+    let findings = lint("crates/compat/rand/src/fixture.rs", src);
     assert!(
         findings.iter().all(|(r, _)| r == "crate-layering") && findings.len() == 2,
         "compat may not reference dcd_* at all: {findings:?}"

@@ -39,10 +39,8 @@ fn the_rule_set_is_pinned() {
             "stray-thread",
             "wall-clock",
             "relaxed-atomic",
-            "deprecated-shim",
             "duplicate-detect-loop",
             "unledgered-shipment",
-            "unobserved-phase",
             "exhaustive-dispatch",
             "crate-layering",
             "unused-suppression",

@@ -9,11 +9,11 @@
 //! Two scopes, one contract:
 //!
 //! * **Sim scope** — each run owns a registry (inside a
-//!   [`RunObserver`], created next to its `ShipmentLedger` and
-//!   `SiteClocks`). Everything recorded there is an order-free integer
-//!   merge or a single-writer gauge, so the final snapshot is pinned
-//!   bit-identical across `DCD_THREADS` and `DCD_CHUNK_ROWS`, exactly
-//!   like the violation reports.
+//!   [`RunObserver`], owned by `dcd_core::Run` with the run's
+//!   `ShipmentLedger` and `SiteClocks`). Everything recorded there is
+//!   an order-free integer merge or a single-writer gauge, so the final
+//!   snapshot is pinned bit-identical across `DCD_THREADS` and
+//!   `DCD_CHUNK_ROWS`, exactly like the violation reports.
 //! * **Host scope** — [`host_registry`] is process-wide and records
 //!   what the *hardware* did (morsels executed, steals, queue depths);
 //!   those values legitimately vary with pool width and chunk size and

@@ -165,10 +165,11 @@ struct Family {
 }
 
 /// The registry: a cheaply clonable handle to a shared family map.
-/// Engines create one per run (next to the ledger and the clocks) and
-/// pre-register instrument handles at construction, so the registration
-/// `Mutex` never sits on a hot path — hot paths touch only the atomic
-/// cells behind the handles they already hold.
+/// Engines create one per run (inside `dcd_core::Run`, next to the
+/// ledger and the clocks) and pre-register instrument handles at
+/// construction, so the registration `Mutex` never sits on a hot path —
+/// hot paths touch only the atomic cells behind the handles they
+/// already hold.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     families: Arc<Mutex<BTreeMap<String, Family>>>,

@@ -73,10 +73,11 @@ impl RunTrace {
     }
 }
 
-/// The per-run observer bundle engines thread through their phases: a
+/// The per-run observer bundle: a
 /// [`MetricsRegistry`](crate::MetricsRegistry) plus a mutexed
-/// [`RunTrace`]. Created next to the ledger and the clocks; `Default`
-/// yields a functional observer whose registry simply goes unread.
+/// [`RunTrace`]. Owned by the engine's run context (`dcd_core::Run`)
+/// together with the ledger and the clocks; `Default` yields a
+/// functional observer whose registry simply goes unread.
 #[derive(Debug, Default)]
 pub struct RunObserver {
     /// The run's metrics registry.

@@ -2,7 +2,6 @@
 
 use crate::schema::AttrId;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A stable identifier for a tuple of the *original* (unfragmented)
@@ -12,7 +11,7 @@ use std::fmt;
 /// always be traced back, and violation sets computed by different
 /// algorithms can be compared for equality in tests. This mirrors the
 /// paper's assumption of "system assigned tuple IDs" (§II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TupleId(pub u64);
 
 impl fmt::Display for TupleId {
@@ -26,7 +25,7 @@ impl fmt::Display for TupleId {
 /// Values are stored in a boxed slice (two words, no spare capacity); with
 /// `Value` clones being O(1), cloning a tuple for shipment costs one small
 /// allocation plus reference-count bumps.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tuple {
     /// Stable id of the tuple in the original relation.
     pub tid: TupleId,

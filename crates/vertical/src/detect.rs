@@ -11,9 +11,9 @@
 //!    `(tid, codes)` rows of those attributes — the same code wire the
 //!    horizontal engines and the incremental delta protocol use,
 //!    charged at 4 bytes/cell via
-//!    [`ShipmentLedger::charge_codes`] (the tuple id rides as
-//!    [`TID_CELLS`] cells; key *columns* never travel, the id aligns
-//!    rows),
+//!    [`ShipmentLedger::charge_codes`](dcd_dist::ShipmentLedger::charge_codes)
+//!    (the tuple id rides as [`TID_CELLS`] cells; key *columns* never
+//!    travel, the id aligns rows),
 //! 3. the coordinator intersects the shipments by tuple id and
 //!    validates on the gathered code rows through
 //!    [`CodeLayout`]/[`ResolvedCfd`](dcd_cfd::ResolvedCfd) — decoding
@@ -25,9 +25,8 @@
 //! reduction, often cutting traffic dramatically.
 
 use dcd_cfd::{Cfd, CodeLayout, CodeRow, PatternValue, ViolationReport, ViolationSet};
-use dcd_core::{Detection, RunConfig};
-use dcd_dist::{CostModel, ShipmentLedger, SiteClocks, SiteId, VerticalPartition, TID_CELLS};
-use dcd_obs::RunObserver;
+use dcd_core::{Detection, Run, RunConfig};
+use dcd_dist::{CostModel, SiteId, VerticalPartition, TID_CELLS};
 use dcd_relation::{AttrId, Dictionary, FxHashMap, Relation, RelationError, TupleId};
 use std::sync::Arc;
 
@@ -63,9 +62,7 @@ fn run_impl(
 ) -> Result<(Detection, usize), RelationError> {
     let cost: &CostModel = &cfg.cost;
     let n = partition.n_sites();
-    let obs = RunObserver::new();
-    let ledger = ShipmentLedger::observed(n, &obs.registry);
-    let clocks = SiteClocks::new(n);
+    let run = Run::new(n, *cfg);
     let mut report = ViolationReport::default();
     let mut locally_checked = 0usize;
     let mut paper_cost = 0.0;
@@ -81,10 +78,9 @@ fn run_impl(
             let frag = &partition.fragments()[host];
             let local_cfd = rebase_cfd(cfd, &frag.data, &frag.attrs)?;
             let vs = dcd_cfd::detect(&frag.data, &local_cfd);
-            let secs = cost.check_time(frag.data.len());
-            let before = clocks.snapshot();
-            clocks.advance(SiteId(host as u32), secs);
-            obs.span_sites(&format!("local:{}", cfd.name()), &before, &clocks.snapshot());
+            let secs = run.phase(&format!("local:{}", cfd.name()), |clk| {
+                clk.charge(SiteId(host as u32), cost.check_time(frag.data.len()))
+            });
             report.absorb(cfd.name(), vs);
             locally_checked += 1;
             // §III-B with zero shipment and one active site reduces to
@@ -115,70 +111,65 @@ fn run_impl(
         let (mut dicts, mut acc) = code_shipment(partition, coord, &coord_attrs, cfd, mode);
         let mut acc_attrs = coord_attrs;
         let mut matrix = vec![vec![0usize; n]; n];
-        let before = clocks.snapshot();
-        for (i, frag) in partition.fragments().iter().enumerate() {
-            if i == coord {
-                continue;
-            }
-            let useful: Vec<AttrId> = needed
-                .iter()
-                .copied()
-                .filter(|a| frag.attrs.contains(a) && !acc_attrs.contains(a))
-                .collect();
-            if useful.is_empty() {
-                continue;
-            }
-            let (frag_dicts, shipped) = code_shipment(partition, i, &useful, cfd, mode);
-            let secs = cost.scan_time(frag.data.len());
-            clocks.advance(frag.site, secs);
-            local_secs[i] += secs;
-            ledger.charge_codes(
-                coord_site,
-                frag.site,
-                shipped.len(),
-                shipped.len() * (useful.len() + TID_CELLS),
-            );
-            matrix[coord][i] += shipped.len();
-            // Intersect by tuple id: a row survives only if every
-            // contributing fragment kept it (in filtered mode each
-            // drops rows its visible constants rule out). Coordinator
-            // row order is preserved — the merge is deterministic.
-            let mut by_tid: FxHashMap<TupleId, Vec<u32>> = shipped.into_iter().collect();
-            acc.retain_mut(|(tid, codes)| match by_tid.remove(tid) {
-                Some(extra) => {
-                    codes.extend(extra);
-                    true
+        run.phase(&format!("gather:{}", cfd.name()), |clk| {
+            for (i, frag) in partition.fragments().iter().enumerate() {
+                if i == coord {
+                    continue;
                 }
-                None => false,
-            });
-            acc_attrs.extend(useful);
-            dicts.extend(frag_dicts);
-        }
-        clocks.transfer(&matrix, cost);
-        obs.span_sites(&format!("gather:{}", cfd.name()), &before, &clocks.snapshot());
+                let useful: Vec<AttrId> = needed
+                    .iter()
+                    .copied()
+                    .filter(|a| frag.attrs.contains(a) && !acc_attrs.contains(a))
+                    .collect();
+                if useful.is_empty() {
+                    continue;
+                }
+                let (frag_dicts, shipped) = code_shipment(partition, i, &useful, cfd, mode);
+                local_secs[i] += clk.charge(frag.site, cost.scan_time(frag.data.len()));
+                run.ledger().charge_codes(
+                    coord_site,
+                    frag.site,
+                    shipped.len(),
+                    shipped.len() * (useful.len() + TID_CELLS),
+                );
+                matrix[coord][i] += shipped.len();
+                // Intersect by tuple id: a row survives only if every
+                // contributing fragment kept it (in filtered mode each
+                // drops rows its visible constants rule out). Coordinator
+                // row order is preserved — the merge is deterministic.
+                let mut by_tid: FxHashMap<TupleId, Vec<u32>> = shipped.into_iter().collect();
+                acc.retain_mut(|(tid, codes)| match by_tid.remove(tid) {
+                    Some(extra) => {
+                        codes.extend(extra);
+                        true
+                    }
+                    None => false,
+                });
+                acc_attrs.extend(useful);
+                dicts.extend(frag_dicts);
+            }
+            clk.transfer(&matrix);
+        });
         // Coordinator validates on the gathered code rows, feeding the
         // run's kernel counters.
         let rows: Vec<CodeRow> =
             acc.into_iter().map(|(tid, codes)| (tid, codes.into_boxed_slice())).collect();
         let layout = CodeLayout::new(acc_attrs, dicts);
-        let counters = dcd_cfd::KernelCounters::register(&obs.registry);
+        let counters = dcd_cfd::KernelCounters::register(run.registry());
         let mut vs = ViolationSet::default();
         for simple in cfd.simplify() {
             let mut resolved = layout.resolve(&simple);
             resolved.set_counters(counters.clone());
             vs.merge(resolved.detect_among(&rows));
         }
-        let secs = cost.check_time(rows.len());
-        let before = clocks.snapshot();
-        clocks.advance(coord_site, secs);
-        obs.span_sites(&format!("validate:{}", cfd.name()), &before, &clocks.snapshot());
-        local_secs[coord] += secs;
+        local_secs[coord] += run.phase(&format!("validate:{}", cfd.name()), |clk| {
+            clk.charge(coord_site, cost.check_time(rows.len()))
+        });
         report.absorb(cfd.name(), vs);
         paper_cost += cost.paper_cost(&matrix, &local_secs);
     }
 
-    let d = Detection::collect("VERTDETECT", report, paper_cost, &ledger, &clocks, &obs);
-    Ok((d, locally_checked))
+    Ok((run.detection("VERTDETECT", report, paper_cost), locally_checked))
 }
 
 /// A fragment's wire payload: the shipped attributes' dictionaries

@@ -90,9 +90,8 @@ pub mod prelude {
         ViolationReport, ViolationSet,
     };
     pub use dcd_core::{
-        mine_patterns, ClustDetect, CoordinatorStrategy, CtrDetect, Detection, DetectionSummary,
-        Detector, MinedTableau, MiningConfig, MultiDetector, PatDetectRT, PatDetectS, RunConfig,
-        SeqDetect,
+        mine_patterns, CoordinatorStrategy, Detection, DetectionSummary, MinedTableau,
+        MiningConfig, RunConfig,
     };
     pub use dcd_dist::{
         CostModel, Fragment, HorizontalPartition, HybridPartition, ReplicatedPartition,

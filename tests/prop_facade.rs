@@ -137,12 +137,12 @@ proptest! {
         for threads in [1usize, 8] {
             let cfg = RunConfig::default().with_threads(threads);
             // The three single-CFD detectors (one CFD, like the engine).
-            for (alg, det) in [
-                (Algorithm::CtrDetect, &CtrDetect as &dyn Detector),
-                (Algorithm::PatDetectS, &PatDetectS),
-                (Algorithm::PatDetectRT, &PatDetectRT),
+            for (alg, strategy) in [
+                (Algorithm::CtrDetect, CoordinatorStrategy::Central),
+                (Algorithm::PatDetectS, CoordinatorStrategy::MinShipment),
+                (Algorithm::PatDetectRT, CoordinatorStrategy::MinResponseTime),
             ] {
-                let engine = run_batch(&partition, &cfd.simplify(), det.strategy(), &cfg);
+                let engine = run_batch(&partition, &cfd.simplify(), strategy, &cfg);
                 let new = facade(
                     partition.clone(),
                     std::slice::from_ref(&cfd),
@@ -150,7 +150,7 @@ proptest! {
                     cfg,
                     ShipMode::Full,
                 );
-                assert_identical(&engine, &new, &format!("{} @{threads}", det.name()))?;
+                assert_identical(&engine, &new, &format!("{} @{threads}", engine.algorithm))?;
             }
             // The two multi-CFD detectors (two CFDs).
             let inner = CoordinatorStrategy::MinResponseTime;

@@ -9,6 +9,7 @@
 //! `host_registry()` precisely because they *do* vary with scheduling;
 //! this suite pins everything that does not.
 
+use distributed_cfd::datagen::{update_stream, UpdateStreamConfig};
 use distributed_cfd::prelude::*;
 use distributed_cfd::relation::set_chunk_rows;
 use std::sync::Arc;
@@ -168,5 +169,53 @@ fn observability_is_bit_identical_across_widths_and_chunk_sizes() {
                 );
             }
         }
+    }
+}
+
+/// Trace completeness: every clock advance lies inside a phase span, so
+/// each site's span durations sum to its final clock.
+fn assert_trace_complete(label: &str, d: &Detection) {
+    let mut covered = vec![0.0f64; d.site_clocks.len()];
+    for span in &d.trace.spans {
+        covered[span.site] += span.end - span.start;
+    }
+    for (site, (&sum, &clock)) in covered.iter().zip(&d.site_clocks).enumerate() {
+        assert!(
+            (sum - clock).abs() <= 1e-9 * clock,
+            "{label}: site {site} spans cover {sum} s of its {clock} s clock"
+        );
+    }
+}
+
+#[test]
+fn every_clock_advance_lies_inside_a_span() {
+    for (label, d) in sweep(Some(257), 1) {
+        assert_trace_complete(&label, &d);
+    }
+
+    let rel = sample();
+    let s = rel.schema().clone();
+    let stream_cfg = UpdateStreamConfig { n_batches: 3, ops_per_batch: 40, ..Default::default() };
+
+    // A horizontal session tracking a mined tableau, then fed batches.
+    let horizontal = HorizontalPartition::round_robin(&rel, 4).unwrap();
+    let stream = update_stream(&horizontal, &stream_cfg);
+    let mut session = DetectRequest::over(horizontal).cfds(sigma(&s)).session().unwrap();
+    let phi1 = sigma(&s)[0].simplify().pop().unwrap();
+    session.track_mining(&phi1, &MiningConfig::default()).unwrap();
+    assert_trace_complete("horizontal session after track_mining", &session.detection());
+    for (i, batch) in stream.into_iter().enumerate() {
+        session.apply_batch(&DeltaBatch::from(batch)).unwrap();
+        assert_trace_complete(&format!("horizontal session, batch {i}"), &session.detection());
+    }
+
+    // A vertical session fed whole-tuple inserts and deletes.
+    let vertical =
+        VerticalPartition::by_attribute_groups(&rel, &[&["id", "a", "b"], &["c"], &["d"]]).unwrap();
+    let single = HorizontalPartition::round_robin(&rel, 1).unwrap();
+    let mut session = DetectRequest::over(vertical).cfds(sigma(&s)).session().unwrap();
+    for (i, batch) in update_stream(&single, &stream_cfg).into_iter().enumerate() {
+        session.apply_batch(&DeltaBatch::from(batch)).unwrap();
+        assert_trace_complete(&format!("vertical session, batch {i}"), &session.detection());
     }
 }
