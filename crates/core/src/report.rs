@@ -6,7 +6,12 @@ use std::fmt;
 
 /// Everything a detection run produces: the violations plus the traffic
 /// and timing the paper's evaluation plots.
+///
+/// Outside this crate a `Detection` is only ever built by
+/// [`Run::detection`](crate::run::Run::detection), so every one carries
+/// the ledger, clocks and trace of a [`Run`](crate::run::Run).
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct Detection {
     /// Which algorithm produced this result.
     pub algorithm: String,
